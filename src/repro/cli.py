@@ -654,7 +654,7 @@ def _faults_campaign(args: argparse.Namespace) -> int:
         from repro.experiments.parallel import SweepProgress
         from repro.obs.metrics import MetricsRegistry
 
-        registry = MetricsRegistry()
+        registry = MetricsRegistry(sketches=False)
         results = run_campaign(
             cells,
             jobs=jobs,

@@ -89,6 +89,10 @@ class Controller(abc.ABC):
         #: module-level no-op when detached — so read paths never test
         #: for an oracle per segment.
         self.oracle = None
+        #: Optional ``callback(disk)`` run on every disk :meth:`_make_disk`
+        #: makes once it is set (rebuild replacements, mid-run); metering
+        #: attaches its op observer through it.
+        self.on_disk_created: Optional[Callable[[Disk], None]] = None
         self._build_disks()
 
     # ------------------------------------------------------------------
@@ -305,7 +309,7 @@ class Controller(abc.ABC):
         self, name: str, standby: bool = False
     ) -> Disk:
         initial = PowerState.STANDBY if standby else PowerState.IDLE
-        return Disk(
+        disk = Disk(
             self.sim,
             self.config.disk,
             name,
@@ -313,6 +317,9 @@ class Controller(abc.ABC):
             scheduler=Scheduler(self.config.disk_scheduler),
             tracer=self.tracer,
         )
+        if self.on_disk_created is not None:
+            self.on_disk_created(disk)
+        return disk
 
     # ------------------------------------------------------------------
     # Tracing hooks (no-ops unless a tracer is attached).  Subclasses call

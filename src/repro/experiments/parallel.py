@@ -109,7 +109,7 @@ class CellExecution:
             profiles.finalize()
         metrics = None
         if self.metrics is not None or other.metrics is not None:
-            metrics = MetricsRegistry()
+            metrics = MetricsRegistry(sketches=False)
             for registry in (self.metrics, other.metrics):
                 if registry is not None:
                     metrics.merge(registry)
@@ -155,9 +155,11 @@ def _compute_cell_profiled(
 def _compute_cell_metered(
     cell: Cell, ref: Optional[TraceRef]
 ) -> Dict[str, Any]:
-    """Worker entry point with the metrics registry instrumented in."""
+    """Worker entry point with a sketch-free registry instrumented in."""
     trace = shm.attach_cached(ref) if ref is not None else None
-    metrics, registry = cell.execute_metered(trace=trace)
+    metrics, registry = cell.execute_metered(
+        trace=trace, registry=MetricsRegistry(sketches=False)
+    )
     return {"metrics": metrics.to_dict(), "registry": registry.to_dict()}
 
 
@@ -351,14 +353,17 @@ def execute_cells(
     complete, profiling forces pending cells to be computed here even at
     ``jobs=1`` (serially, in-process).
 
-    With ``collect_metrics=True`` each computed cell is run under the
-    metrics registry (latency/power histograms, controller counters) and
-    the pool dispatch itself is metered (per-worker throughput, shm
-    attach locality, in-flight window); worker registries merge into
-    ``stats.metrics`` — order-independent, see
-    :meth:`MetricsRegistry.merge`.  Metering observes only: the
-    ``RunMetrics`` payloads stay byte-identical.  Like profiling, it
-    forces pending cells to be computed here even at ``jobs=1``.
+    With ``collect_metrics=True`` each computed cell is metered into its
+    own fresh sketch-free registry (latency/power histograms, controller
+    counters; ``MetricsRegistry(sketches=False)``), which then merges
+    into ``stats.metrics`` — order-independent, see
+    :meth:`MetricsRegistry.merge`, so ``jobs=1`` and ``jobs=N`` give the
+    same registry up to float summation order.  The pool dispatch itself
+    is metered too (per-worker throughput, shm attach locality, in-flight
+    window).  Histogram quantiles come from bucket interpolation.
+    Metering observes only: the ``RunMetrics`` payloads stay
+    byte-identical.  Like profiling, it forces pending cells to be
+    computed here even at ``jobs=1``.
     """
     if collect_profiles and collect_metrics:
         raise ValueError(
@@ -370,7 +375,10 @@ def execute_cells(
     stats = CellExecution(total=len(cell_list), jobs=jobs)
     report = ProfileReport() if collect_profiles else None
     if collect_metrics:
-        stats.metrics = registry if registry is not None else MetricsRegistry()
+        stats.metrics = (
+            registry if registry is not None
+            else MetricsRegistry(sketches=False)
+        )
 
     unique: Dict[Tuple, Cell] = {}
     for cell in cell_list:
@@ -414,9 +422,13 @@ def execute_cells(
             report.add(profile)
             _note(key, cell)
     elif pending and jobs == 1 and collect_metrics:
-        # Serial metered path, same rationale as the profiled one.
+        # Serial metered path, same rationale as the profiled one; each
+        # cell gets its own registry, exactly as in a pool worker.
         for key, cell in pending:
-            metrics, _ = cell.execute_metered(registry=stats.metrics)
+            metrics, cell_registry = cell.execute_metered(
+                registry=MetricsRegistry(sketches=False)
+            )
+            stats.metrics.merge(cell_registry)
             runner.install_result(key, metrics)
             _note(key, cell)
     elif pending and jobs > 1:

@@ -167,11 +167,14 @@ def _compute_fault_cell(cell: FaultCell, ref=None) -> Dict[str, Any]:
 
 
 def _compute_fault_cell_metered(cell: FaultCell, ref=None) -> Dict[str, Any]:
-    """Worker entry point with the metrics registry instrumented in."""
+    """Worker entry point with a sketch-free registry instrumented in."""
+    from repro.obs.metrics import MetricsRegistry
     from repro.traces import shm
 
     trace = shm.attach_cached(ref) if ref is not None else None
-    result, registry = cell.execute_metered(trace=trace)
+    result, registry = cell.execute_metered(
+        trace=trace, registry=MetricsRegistry(sketches=False)
+    )
     return {"result": result.to_dict(), "registry": registry.to_dict()}
 
 
@@ -187,17 +190,18 @@ def run_campaign(
     ``progress`` may be a plain ``callable(str)`` or a
     :class:`~repro.experiments.parallel.SweepProgress` (throttled
     single-line rendering with ETA).  With ``collect_metrics=True``
-    computed cells run instrumented and worker registries merge into
-    ``registry`` (created if omitted) along with dispatcher telemetry;
-    the cached payloads stay byte-identical either way.  Metering only
-    covers cells computed in this call — cached cells contribute nothing.
+    each computed cell runs instrumented into its own fresh sketch-free
+    registry, which merges into ``registry`` (created sketch-free if
+    omitted) along with dispatcher telemetry, so serial and pooled
+    campaigns meter alike; the cached payloads stay byte-identical
+    either way.  Metering only covers cells computed in this call —
+    cached cells contribute nothing.
     """
     from repro.experiments.parallel import SweepProgress
+    from repro.obs.metrics import MetricsRegistry
 
     if collect_metrics and registry is None:
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
+        registry = MetricsRegistry(sketches=False)
 
     cell_list = list(cells)
     unique: Dict[Tuple, FaultCell] = {}
@@ -226,7 +230,6 @@ def run_campaign(
         from repro.experiments.parallel import run_grouped
 
         if collect_metrics:
-            from repro.obs.metrics import MetricsRegistry
 
             def _handle(key: Tuple, cell: FaultCell, payload: Dict[str, Any]):
                 _install(key, payload["result"])
@@ -250,7 +253,10 @@ def run_campaign(
     else:
         for key, cell in pending:
             if collect_metrics:
-                result, _ = cell.execute_metered(registry=registry)
+                result, cell_registry = cell.execute_metered(
+                    registry=MetricsRegistry(sketches=False)
+                )
+                registry.merge(cell_registry)
                 _install(key, result.to_dict())
             else:
                 _install(key, cell.execute().to_dict())

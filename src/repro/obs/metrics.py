@@ -6,10 +6,12 @@ power, not just the means in :class:`~repro.core.metrics.RunMetrics`.
 This module provides them without sample retention:
 
 * :class:`MetricCounter` / :class:`Gauge` — labeled scalars.
-* :class:`MetricHistogram` — fixed log-spaced buckets **plus** a P²
-  (Jain & Chlamtáč 1985) streaming quantile sketch per tracked quantile
-  (p50/p95/p99/p999).  O(1) memory per histogram regardless of sample
-  count.
+* :class:`MetricHistogram` — fixed log-spaced buckets, optionally
+  **plus** a P² (Jain & Chlamtáč 1985) streaming quantile sketch per
+  tracked quantile (p50/p95/p99/p999).  O(1) memory per histogram
+  regardless of sample count.  Single-run registries keep the sketches;
+  sweep registries (``MetricsRegistry(sketches=False)``) skip them,
+  because merging drops them anyway.
 * :class:`MetricsRegistry` — the family store, with an associative
   :meth:`~MetricsRegistry.merge` (worker registries fold into the
   parent's in any order), exact :meth:`~MetricsRegistry.to_dict` /
@@ -17,7 +19,9 @@ This module provides them without sample retention:
   Prometheus text format and JSONL snapshots.
 * :func:`instrument` — attaches a registry to one simulation run
   (engine event dispatch + heap census, disk service times, power-state
-  residency, controller counters).  Instrumentation observes only:
+  residency, controller counters).  What the simulator already counts
+  (events, per-disk op totals, energy) is harvested at end of run rather
+  than observed per event.  Instrumentation observes only:
   metered runs produce :class:`RunMetrics` byte-identical to unmetered
   ones (tests/test_metrics_registry.py pins this for all five schemes,
   traced and fault-injected).
@@ -30,6 +34,7 @@ the same discipline as the tracer hooks).
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import json
 import math
@@ -249,18 +254,19 @@ class Gauge:
 
 
 class MetricHistogram:
-    """Streaming histogram: log-spaced buckets + P² quantile sketches.
+    """Streaming histogram: log-spaced buckets + optional P² sketches.
 
     Buckets count exactly and merge associatively; the P² sketches give
     refined within-run quantiles.  Merging two populated histograms drops
     the sketches (P² states cannot be combined) and falls back to bucket
     interpolation, which is merge-order independent — the property the
-    worker fan-out relies on.
+    worker fan-out relies on.  ``sketches=False`` builds the histogram
+    without them from the start, for registries that will be merged.
     """
 
     __slots__ = ("bounds", "counts", "count", "sum", "min", "max", "_sketches")
 
-    def __init__(self, bounds: Iterable[float]) -> None:
+    def __init__(self, bounds: Iterable[float], sketches: bool = True) -> None:
         bounds = [float(b) for b in bounds]
         if not bounds or any(
             bounds[i] >= bounds[i + 1] for i in range(len(bounds) - 1)
@@ -272,10 +278,11 @@ class MetricHistogram:
         self.sum = 0.0
         self.min = math.inf
         self.max = -math.inf
-        #: One sketch per tracked quantile; ``None`` once merged.
-        self._sketches: Optional[List[P2Quantile]] = [
-            P2Quantile(q) for q in TRACKED_QUANTILES
-        ]
+        #: One sketch per tracked quantile; ``None`` when built without
+        #: sketches or once a populated merge dropped them.
+        self._sketches: Optional[List[P2Quantile]] = (
+            [P2Quantile(q) for q in TRACKED_QUANTILES] if sketches else None
+        )
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -284,24 +291,18 @@ class MetricHistogram:
             self.min = value
         if value > self.max:
             self.max = value
-        bounds = self.bounds
-        lo, hi = 0, len(bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if bounds[mid] < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        self.counts[lo] += 1
+        self.counts[bisect.bisect_left(self.bounds, value)] += 1
         sketches = self._sketches
         if sketches is not None:
             for sketch in sketches:
                 sketch.observe(value)
 
     @property
-    def merged(self) -> bool:
-        """True once P² sketches were dropped by a populated merge."""
-        return self._sketches is None
+    def has_sketches(self) -> bool:
+        """True while P² sketches answer :meth:`quantile`; False for a
+        histogram built without them or merged from two populated ones
+        (quantiles then come from bucket interpolation)."""
+        return self._sketches is not None
 
     def quantile(self, q: float) -> float:
         """Estimate quantile ``q``: P² when available, else buckets."""
@@ -346,7 +347,8 @@ class MetricHistogram:
 
     def merge(self, other: "MetricHistogram") -> None:
         """Fold ``other`` in.  Associative and commutative on buckets;
-        sketches survive only while exactly one side has observations."""
+        sketches survive only while exactly one side has observations, and
+        a histogram built without sketches never acquires them."""
         if self.bounds != other.bounds:
             raise ValueError("cannot merge histograms with different buckets")
         if other.count == 0:
@@ -359,7 +361,7 @@ class MetricHistogram:
             self.max = other.max
             self._sketches = (
                 None
-                if other._sketches is None
+                if other._sketches is None or self._sketches is None
                 else [P2Quantile.from_dict(s.to_dict()) for s in other._sketches]
             )
             return
@@ -420,7 +422,9 @@ LabelKey = Tuple[Tuple[str, str], ...]
 class _Family:
     """One named metric family: kind, help text, labeled children."""
 
-    __slots__ = ("name", "kind", "help", "agg", "bounds", "children")
+    __slots__ = (
+        "name", "kind", "help", "agg", "bounds", "sketches", "children"
+    )
 
     def __init__(
         self,
@@ -429,12 +433,14 @@ class _Family:
         help_text: str,
         agg: str = "sum",
         bounds: Optional[List[float]] = None,
+        sketches: bool = True,
     ) -> None:
         self.name = name
         self.kind = kind
         self.help = help_text
         self.agg = agg
         self.bounds = bounds
+        self.sketches = sketches
         self.children: Dict[LabelKey, Any] = {}
 
     def child(self, key: LabelKey) -> Any:
@@ -445,7 +451,7 @@ class _Family:
             elif self.kind == "gauge":
                 instance = Gauge()
             else:
-                instance = MetricHistogram(self.bounds)
+                instance = MetricHistogram(self.bounds, self.sketches)
             self.children[key] = instance
         return instance
 
@@ -464,10 +470,17 @@ class MetricsRegistry:
     registry is deliberately dependency-free and picklable via
     :meth:`to_dict`, so pool workers meter their cells locally and ship
     the state back for an associative :meth:`merge` in the parent.
+
+    ``sketches`` sets whether the registry's histograms keep P² sketches.
+    A single run keeps them (refined quantiles for ``rolo simulate
+    --metrics``); sweeps pass ``False``: their registries merge, which
+    drops the sketches anyway, so feeding them per sample is wasted work.
+    Histograms without sketches answer quantiles from their buckets.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, sketches: bool = True) -> None:
         self._families: Dict[str, _Family] = {}
+        self.sketches = sketches
 
     # ------------------------------------------------------------------
     def _family(
@@ -482,7 +495,10 @@ class MetricsRegistry:
             raise ValueError(f"invalid metric name {name!r}")
         family = self._families.get(name)
         if family is None:
-            family = _Family(name, kind, help_text, agg=agg, bounds=bounds)
+            family = _Family(
+                name, kind, help_text, agg=agg, bounds=bounds,
+                sketches=self.sketches,
+            )
             self._families[name] = family
             return family
         if family.kind != kind:
@@ -563,7 +579,9 @@ class MetricsRegistry:
 
         Counters add, gauges combine by their family's declared
         aggregation, histograms merge buckets exactly (sketches drop once
-        both sides are populated).  Returns ``self`` for chaining.
+        both sides are populated, and a registry built with
+        ``sketches=False`` never takes them in).  Returns ``self`` for
+        chaining.
         """
         for name, theirs in other._families.items():
             family = self._family(
@@ -581,9 +599,10 @@ class MetricsRegistry:
                     # Copy through the exact dict round-trip so later
                     # mutation of either registry stays independent.
                     if family.kind == "histogram":
-                        family.children[key] = MetricHistogram.from_dict(
-                            their_child.to_dict()
-                        )
+                        copy = MetricHistogram.from_dict(their_child.to_dict())
+                        if not self.sketches:
+                            copy._sketches = None
+                        family.children[key] = copy
                     else:
                         child = family.child(key)
                         child.value = their_child.value
@@ -973,10 +992,18 @@ class RunInstrumentation:
 
     Installs observation-only hooks (the engine event hook, per-disk op
     observers, the ``RunMetrics`` response observer) and harvests
-    end-of-run state (power residency, spin counts, controller counters).
-    Every hook reads and never writes simulator/controller state, so a
-    metered run's :class:`RunMetrics` stays byte-identical to an
-    unmetered one.
+    end-of-run state (power residency, spin counts, per-disk op totals,
+    controller counters).  Per-event work is kept to what the simulator
+    does not already count: the event hook tallies raw labels (folded
+    into suffixes at harvest) and the op observer feeds only the
+    service-time histogram.  Every hook reads and never writes
+    simulator/controller state, so a metered run's :class:`RunMetrics`
+    stays byte-identical to an unmetered one.
+
+    Disks made mid-run (rebuild replacements, through the controller's
+    ``on_disk_created`` hook) get the op observer on creation and are
+    harvested along with every disk present at install, so a disk
+    swapped out of the role lists still counts its ops.
     """
 
     def __init__(self, sim, controller, registry: MetricsRegistry) -> None:
@@ -984,7 +1011,11 @@ class RunInstrumentation:
         self.controller = controller
         self.registry = registry
         self.scheme = controller.scheme_name
+        #: Raw ``event.label`` -> dispatch count (suffix-folded at harvest).
         self._events_by_label: Dict[str, int] = {}
+        #: Every disk the run touched -> its (foreground, background) op
+        #: counts when metering began.
+        self._op_baseline: Dict[Any, Tuple[int, int]] = {}
         self._heap_peak = 0
         self._power_peak = 0.0
         self._dirty_peak = 0
@@ -995,6 +1026,17 @@ class RunInstrumentation:
             "instantaneous array power draw, sampled on event dispatch",
             buckets=DEFAULT_POWER_BUCKETS,
             scheme=self.scheme,
+        )
+        # Made up front so zero-valued series still appear; the counts are
+        # harvested from the disks' own op counters.
+        self._ops = tuple(
+            registry.counter(
+                "disk_ops_total",
+                "completed disk operations",
+                priority=priority,
+                scheme=self.scheme,
+            )
+            for priority in ("foreground", "background")
         )
         self._started = time.perf_counter()
         self._installed = False
@@ -1026,50 +1068,35 @@ class RunInstrumentation:
             latency[is_write].observe(seconds)
 
         self.controller.metrics.on_response = _on_response
-        service = {
-            0: registry.histogram(
+        # Indexed by ``op.priority`` (FOREGROUND = 0, BACKGROUND = 1).
+        service = tuple(
+            registry.histogram(
                 "disk_service_time_seconds",
                 "in-service time of one disk operation",
-                priority="foreground",
+                priority=priority,
                 scheme=scheme,
-            ),
-            1: registry.histogram(
-                "disk_service_time_seconds",
-                "in-service time of one disk operation",
-                priority="background",
-                scheme=scheme,
-            ),
-        }
-        ops = {
-            0: registry.counter(
-                "disk_ops_total",
-                "completed disk operations",
-                priority="foreground",
-                scheme=scheme,
-            ),
-            1: registry.counter(
-                "disk_ops_total",
-                "completed disk operations",
-                priority="background",
-                scheme=scheme,
-            ),
-        }
+            )
+            for priority in ("foreground", "background")
+        )
 
         def _on_op(disk, op) -> None:
-            index = int(op.priority)
-            service[index].observe(op.finish_time - op.start_time)
-            ops[index].inc()
+            service[op.priority].observe(op.finish_time - op.start_time)
 
-        for disk in self.controller.all_disks():
-            disk.op_observer = _on_op
         self._op_observer = _on_op
+        for disk in self.controller.all_disks():
+            self._adopt_disk(disk)
+        self.controller.on_disk_created = self._adopt_disk
         self._installed = True
 
+    def _adopt_disk(self, disk) -> None:
+        """Observe ``disk``'s ops and harvest its op counts from here on."""
+        disk.op_observer = self._op_observer
+        self._op_baseline[disk] = (disk.foreground_ops, disk.background_ops)
+
     def _on_event(self, event) -> None:
-        label = event.label
-        _, _, suffix = label.rpartition(":")
         counts = self._events_by_label
-        counts[suffix or label] = counts.get(suffix or label, 0) + 1
+        label = event.label
+        counts[label] = counts.get(label, 0) + 1
         tick = self._tick + 1
         self._tick = tick
         if tick % _SAMPLE_EVERY == 0:
@@ -1100,7 +1127,8 @@ class RunInstrumentation:
             return
         self.sim.remove_event_observer(self._on_event)
         self.controller.metrics.on_response = None
-        for disk in self.controller.all_disks():
+        self.controller.on_disk_created = None
+        for disk in self._op_baseline:
             if disk.op_observer is self._op_observer:
                 disk.op_observer = None
         self._installed = False
@@ -1117,13 +1145,22 @@ class RunInstrumentation:
             "sim_events_total", "events dispatched by the engine",
             scheme=scheme,
         ).inc(sim.events_processed)
-        for label in sorted(self._events_by_label):
+        by_suffix: Dict[str, int] = {}
+        for label, count in self._events_by_label.items():
+            suffix = label.rpartition(":")[2] or label
+            by_suffix[suffix] = by_suffix.get(suffix, 0) + count
+        for label in sorted(by_suffix):
             registry.counter(
                 "sim_events_by_label_total",
                 "events dispatched, by label suffix",
                 label=label,
                 scheme=scheme,
-            ).inc(self._events_by_label[label])
+            ).inc(by_suffix[label])
+        # Disks: op counts since install, over every disk the run touched.
+        foreground, background = self._ops
+        for disk, (fg0, bg0) in self._op_baseline.items():
+            foreground.inc(disk.foreground_ops - fg0)
+            background.inc(disk.background_ops - bg0)
         registry.counter(
             "sim_heap_compactions_total",
             "in-place heap compactions",
@@ -1263,7 +1300,9 @@ def render_registry(registry: MetricsRegistry) -> str:
     """Human-readable snapshot: counters/gauges, then histogram quantiles.
 
     This is the ``rolo top`` view — a compact utilization table with the
-    tail percentiles the paper's evaluation (and ours) turns on.
+    tail percentiles the paper's evaluation (and ours) turns on.  The
+    ``est`` column names each histogram's quantile source: ``p2`` while
+    it carries P² sketches, ``buckets`` (interpolation) otherwise.
     """
     counters: List[str] = []
     gauges: List[str] = []
@@ -1285,7 +1324,7 @@ def render_registry(registry: MetricsRegistry) -> str:
                         for q in TRACKED_QUANTILES
                     ),
                     _fmt_value(child.max if child.count else 0.0),
-                    "buckets" if child.merged else "p2",
+                    "p2" if child.has_sketches else "buckets",
                 )
             )
     lines: List[str] = []

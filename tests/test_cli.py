@@ -343,6 +343,30 @@ class TestMetricsCommands:
         assert "sim_events_total" in out
         assert "request_latency_seconds" in out
 
+    def test_simulate_metrics_prints_p2_quantiles(self, capsys, tmp_path):
+        from repro.obs.metrics import read_snapshot
+
+        out_path = tmp_path / "run.jsonl"
+        assert main(self.SIM + ["--metrics", str(out_path)]) == 0
+        out = capsys.readouterr().out
+        latency = [
+            (labels["op"], inst)
+            for name, labels, inst in read_snapshot(str(out_path)).samples()
+            if name == "request_latency_seconds" and inst.count
+        ]
+        assert latency
+        for op, histogram in latency:
+            assert histogram.has_sketches
+            p50 = histogram.quantile(0.5) * 1e3
+            assert f"{op:5s} latency: p50={p50:.2f}ms" in out
+        assert main(["top", str(out_path)]) == 0
+        rows = [
+            line.split()
+            for line in capsys.readouterr().out.splitlines()
+            if "request_latency_seconds{" in line
+        ]
+        assert rows and all(row[-1] == "p2" for row in rows)
+
     def test_simulate_metrics_rejects_observer_combos(self, capsys, tmp_path):
         rc = main(
             self.SIM

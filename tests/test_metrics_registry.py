@@ -141,10 +141,40 @@ class TestQuantiles:
         for v in samples:
             h.observe(v)
         truth = sorted(samples)[int(0.95 * (len(samples) - 1))]
-        assert not h.merged
+        assert h.has_sketches
         assert h.quantile(0.95) == pytest.approx(truth, rel=0.05)
         # The bucket fallback is coarser but still within a bucket ratio.
         assert h.bucket_quantile(0.95) == pytest.approx(truth, rel=0.35)
+        # Built without sketches: same exact state, bucket quantiles, and
+        # the rendered source column says so although it never merged.
+        bare = MetricHistogram(bounds=bounds, sketches=False)
+        for v in samples:
+            bare.observe(v)
+        assert not bare.has_sketches
+        assert bare.counts == h.counts and bare.count == h.count
+        assert (bare.sum, bare.min, bare.max) == (h.sum, h.min, h.max)
+        assert bare.quantile(0.95) == h.bucket_quantile(0.95)
+        assert bare.to_dict()["sketches"] is None
+        for sketches, source in ((True, "p2"), (False, "buckets")):
+            reg = MetricsRegistry(sketches=sketches)
+            reg.histogram("lat_seconds").observe(0.01)
+            row = render_registry(reg).splitlines()[-1]
+            assert row.split()[-1] == source
+
+    def test_histogram_bucket_index_matches_linear_scan(self):
+        bounds = [0.001, 0.01, 0.1, 1.0]
+        h = MetricHistogram(bounds=bounds, sketches=False)
+        values = [-1.0, 0.0, 0.0005, 0.001, 0.002, 0.01, 0.5, 1.0, 1.5, 1e9]
+        for v in values:
+            h.observe(v)
+        expected = [0] * (len(bounds) + 1)
+        for v in values:
+            # Bucket i holds bounds[i-1] < v <= bounds[i]; overflow last.
+            index = next(
+                (i for i, b in enumerate(bounds) if v <= b), len(bounds)
+            )
+            expected[index] += 1
+        assert h.counts == expected
 
     def test_p2_dict_roundtrip(self):
         sketch = P2Quantile(0.95)
@@ -213,13 +243,30 @@ def test_merged_histograms_drop_sketches_but_keep_exact_moments():
     }
     a.merge(b)
     hm = a.get("latency_seconds")
-    assert hm.merged
+    assert not hm.has_sketches
     assert hm.count == exact["count"]
     assert hm.sum == pytest.approx(exact["sum"])
     assert hm.min == exact["min"]
     assert hm.max == exact["max"]
     # Quantiles still answer (bucket interpolation) and stay ordered.
     assert 0 < hm.quantile(0.5) <= hm.quantile(0.95) <= hm.quantile(0.99)
+    # A sketch-free registry never takes sketches in, not even from the
+    # first populated side, yet keeps the same exact moments and buckets.
+    bare = MetricsRegistry(sketches=False)
+    bare.histogram("latency_seconds", buckets=log_buckets(1e-3, 2.0, 12))
+    bare.merge(_make_registry(1))
+    assert not bare.get("latency_seconds").has_sketches
+    bare.merge(_make_registry(2))
+    hb = bare.get("latency_seconds")
+    assert not hb.has_sketches
+    assert hb.counts == hm.counts
+    assert (hb.count, hb.min, hb.max) == (hm.count, hm.min, hm.max)
+    assert hb.sum == pytest.approx(exact["sum"])
+    copied = MetricsRegistry(sketches=False).merge(_make_registry(1))
+    assert not copied.get("latency_seconds").has_sketches
+    # A single populated side still hands its sketches to a sketched one.
+    fresh = MetricsRegistry().merge(_make_registry(1))
+    assert fresh.get("latency_seconds").has_sketches
 
 
 # ----------------------------------------------------------------------
@@ -382,6 +429,202 @@ class TestByteIdenticalRunMetrics:
             assert json.dumps(
                 got.to_dict(), sort_keys=True
             ) == json.dumps(want.to_dict(), sort_keys=True)
+
+
+# ----------------------------------------------------------------------
+# Harvest-based metering: the work it should do, and no more
+# ----------------------------------------------------------------------
+#: Families that time the host or the dispatcher, not the simulation.
+_HOST_FAMILIES = ("sim_wall_seconds", "sweep_", "shm_attach_")
+
+
+def _sim_series(registry: MetricsRegistry):
+    return {
+        (name, tuple(sorted(labels.items()))): inst
+        for name, labels, inst in registry.samples()
+        if not name.startswith(_HOST_FAMILIES)
+    }
+
+
+def _assert_same_sim_metrics(a: MetricsRegistry, b: MetricsRegistry):
+    """Equal registries up to float summation order (rel 1e-12)."""
+    sa, sb = _sim_series(a), _sim_series(b)
+    assert sorted(sa) == sorted(sb)
+    for key, x in sa.items():
+        y = sb[key]
+        if isinstance(x, MetricHistogram):
+            assert x.counts == y.counts, key
+            assert x.count == y.count, key
+            assert (x.min, x.max) == (y.min, y.max), key
+            assert x.sum == pytest.approx(y.sum, rel=1e-12), key
+            assert x.to_dict()["sketches"] == y.to_dict()["sketches"], key
+        else:
+            assert x.value == pytest.approx(y.value, rel=1e-12), key
+
+
+@pytest.fixture
+def _no_result_caches():
+    from repro.experiments import cache as result_cache
+    from repro.experiments import runner
+    from repro.faults.campaign import clear_memo
+
+    def _clear():
+        runner.clear_cache()
+        clear_memo()
+
+    result_cache.configure(enabled=False)
+    _clear()
+    yield _clear
+    _clear()
+
+
+def _sweep_cells():
+    return [
+        workload_cell(s, "wdev_0", scale=0.01, n_pairs=2, seed=seed)
+        for s in ("raid10", "rolo-p")
+        for seed in (5, 6)
+    ]
+
+
+def _campaign_cells():
+    return [
+        fault_cell(
+            s,
+            "wdev_0",
+            FaultSchedule.single_failure("P0", t, rebuild=True),
+            scale=0.01,
+            n_pairs=2,
+            seed=5,
+        )
+        for s in ("raid10", "rolo-p")
+        for t in (10.0, 20.0)
+    ]
+
+
+class TestHarvestedMetering:
+    def test_metered_sweep_is_jobs_independent(self, _no_result_caches):
+        serial = execute_cells(_sweep_cells(), jobs=1, collect_metrics=True)
+        _no_result_caches()
+        pooled = execute_cells(_sweep_cells(), jobs=2, collect_metrics=True)
+        assert serial.computed == pooled.computed == 4
+        _assert_same_sim_metrics(serial.metrics, pooled.metrics)
+
+    def test_metered_campaign_is_jobs_independent(self, _no_result_caches):
+        serial = MetricsRegistry(sketches=False)
+        run_campaign(
+            _campaign_cells(), jobs=1, collect_metrics=True, registry=serial
+        )
+        _no_result_caches()
+        pooled = MetricsRegistry(sketches=False)
+        run_campaign(
+            _campaign_cells(), jobs=2, collect_metrics=True, registry=pooled
+        )
+        _assert_same_sim_metrics(serial, pooled)
+
+    def test_sweeps_make_no_p2_observations(
+        self, monkeypatch, _no_result_caches
+    ):
+        from repro.experiments.parallel import _compute_cell_metered
+        from repro.faults.campaign import _compute_fault_cell_metered
+
+        calls = []
+        original = P2Quantile.observe
+
+        def counting(self, value):
+            calls.append(value)
+            original(self, value)
+
+        monkeypatch.setattr(P2Quantile, "observe", counting)
+        cells = _sweep_cells()[:2]
+        faults = _campaign_cells()[:2]
+        stats = execute_cells(cells, jobs=1, collect_metrics=True)
+        campaign = MetricsRegistry(sketches=False)
+        run_campaign(faults, jobs=1, collect_metrics=True, registry=campaign)
+        # The pool workers' entry points, run in-process.
+        payloads = [_compute_cell_metered(cells[0], None)]
+        payloads.append(_compute_fault_cell_metered(faults[0]))
+        assert calls == []
+        registries = [stats.metrics, campaign] + [
+            MetricsRegistry.from_dict(p["registry"]) for p in payloads
+        ]
+        for registry in registries:
+            histograms = [
+                inst
+                for _, _, inst in registry.samples()
+                if isinstance(inst, MetricHistogram)
+            ]
+            assert histograms
+            assert not any(h.has_sketches for h in histograms)
+        # A single metered run keeps its sketches.
+        _, single = cells[0].execute_metered()
+        assert calls
+        latency = [
+            inst
+            for name, _, inst in single.samples()
+            if name == "request_latency_seconds" and inst.count
+        ]
+        assert latency and all(h.has_sketches for h in latency)
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_event_label_series_sum_to_events_total(self, scheme):
+        cell = workload_cell(scheme, "wdev_0", scale=0.01, n_pairs=2, seed=3)
+        _, registry = cell.execute_metered()
+        by_label = [
+            inst.value
+            for name, _, inst in registry.samples()
+            if name == "sim_events_by_label_total"
+        ]
+        total = registry.get(
+            "sim_events_total", scheme=_scheme_of(registry)
+        ).value
+        assert len(by_label) > 1
+        assert sum(by_label) == total > 0
+
+    def test_rebuild_replacement_ops_are_metered(self, monkeypatch):
+        from repro.core.base import Controller
+
+        made = []
+        original = Controller._make_disk
+
+        def recording(self, name, standby=False):
+            disk = original(self, name, standby)
+            made.append(disk)
+            return disk
+
+        monkeypatch.setattr(Controller, "_make_disk", recording)
+        schedule = FaultSchedule.single_failure("P0", 20.0, rebuild=True)
+        cell = fault_cell(
+            "raid10", "wdev_0", schedule, scale=0.02, n_pairs=4, seed=3
+        )
+        _, registry = cell.execute_metered()
+        replacement = [d for d in made if d.name == "P0-new"]
+        assert replacement and replacement[0].ops_completed > 0
+        scheme = _scheme_of(registry)
+        ops = {
+            priority: registry.get(
+                "disk_ops_total", priority=priority, scheme=scheme
+            ).value
+            for priority in ("foreground", "background")
+        }
+        served = sum(
+            inst.count
+            for name, _, inst in registry.samples()
+            if name == "disk_service_time_seconds"
+        )
+        completed = sum(d.ops_completed for d in made)
+        assert ops["foreground"] == sum(d.foreground_ops for d in made)
+        assert ops["background"] == sum(d.background_ops for d in made)
+        assert sum(ops.values()) == completed == served
+        # Teardown detached the observer from every disk, swapped-out
+        # failed disk and replacement included.
+        assert all(d.op_observer is None for d in made)
+
+
+def _scheme_of(registry: MetricsRegistry) -> str:
+    for name, labels, _ in registry.samples():
+        if name == "sim_events_total":
+            return labels["scheme"]
+    raise AssertionError("registry has no sim_events_total series")
 
 
 # ----------------------------------------------------------------------
