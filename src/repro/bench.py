@@ -341,8 +341,8 @@ def _overhead_run(
 
     Returns ``(wall_s, events, metrics)``.  Unlike :func:`timed_replay`,
     the timed window covers *only* the replay and the consistency check:
-    the specialization contract moves instrumentation cost to run-setup
-    time (loop selection, bound-method swaps, fused-hook compilation), so
+    instrumentation cost that is paid once (hook fusing, observer
+    registration) is run-setup work, so
     setup and teardown deliberately sit outside the window — what is
     measured is the per-event price each variant pays.
     """
@@ -361,8 +361,8 @@ def _overhead_run(
         controller = build_controller(OVERHEAD_SCHEME, sim, config)
     elif variant == "disabled":
         # Attach every observe-only layer, then detach it again: the run
-        # itself must go through the same specialized no-hook loop and
-        # guard-free completion path as ``plain``.
+        # itself must go through the same hook-free loop and observer-free
+        # completions as ``plain``.
         controller = build_controller(
             OVERHEAD_SCHEME, sim, config, tracer=NULL_TRACER
         )

@@ -23,8 +23,7 @@ from repro.raid.request import (
     release_request,
 )
 from repro.sim.engine import Simulator
-from repro.traces.compiled import AnyTrace, CompiledTrace
-from repro.traces.record import Trace
+from repro.traces.compiled import AnyTrace, CompiledTrace, compile_trace
 
 #: Kind-column decode table (indexes match KIND_READ / KIND_WRITE).
 _KIND_BY_CODE = (RequestKind.READ, RequestKind.WRITE)
@@ -483,12 +482,11 @@ class TraceDriver:
 
     Arrivals are streamed: only the *next* arrival (plus whatever
     completions are outstanding) lives in the event heap at any instant, so
-    peak heap size is O(in-flight), independent of trace length.  A
-    :class:`~repro.traces.compiled.CompiledTrace` replays through a
-    columnar fast path that reads arrival/offset/size/kind by index and
-    never materializes ``TraceRecord`` objects; both paths schedule exactly
-    one arrival event per trace record, so ``events_processed`` is
-    identical between them (the arrival-streaming delta is zero).
+    peak heap size is O(in-flight), independent of trace length.  Any
+    input is lowered once to a :class:`~repro.traces.compiled.CompiledTrace`
+    (a no-op for compiled and shared-memory traces), and replay reads
+    arrival/offset/size/kind by index without materializing
+    ``TraceRecord`` objects: one arrival event per trace record.
     """
 
     def __init__(
@@ -500,18 +498,16 @@ class TraceDriver:
     ) -> None:
         self.sim = sim
         self.controller = controller
+        if not isinstance(trace, CompiledTrace):
+            trace = compile_trace(trace)
         self.trace = trace
         self.on_complete = on_complete
-        self._compiled = isinstance(trace, CompiledTrace)
-        if self._compiled:
-            self._arrivals = trace.arrivals
-            self._offsets = trace.offsets
-            self._sizes = trace.sizes
-            self._kinds = trace.kinds
-            self._n = len(trace.arrivals)
-            self._index = 0
-        else:
-            self._iter = iter(trace)
+        self._arrivals = trace.arrivals
+        self._offsets = trace.offsets
+        self._sizes = trace.sizes
+        self._kinds = trace.kinds
+        self._n = len(trace.arrivals)
+        self._index = 0
         self._outstanding = 0
         self._dispatched = 0
         self._arrivals_done = False
@@ -524,25 +520,15 @@ class TraceDriver:
         self._schedule_next()
 
     def _schedule_next(self) -> None:
-        if self._compiled:
-            i = self._index
-            if i >= self._n:
-                self._arrivals_done = True
-                self._check_done()
-                return
-            self._index = i + 1
-            self.sim.at(
-                self._arrivals[i], self._arrive_compiled, i, label="arrival"
-            )
-            return
-        record = next(self._iter, None)
-        if record is None:
+        i = self._index
+        if i >= self._n:
             self._arrivals_done = True
             self._check_done()
             return
-        self.sim.at(record.timestamp, self._arrive, record, label="arrival")
+        self._index = i + 1
+        self.sim.at(self._arrivals[i], self._arrive, i, label="arrival")
 
-    def _arrive_compiled(self, i: int) -> None:
+    def _arrive(self, i: int) -> None:
         kind = _KIND_BY_CODE[self._kinds[i]]
         offset = self._offsets[i]
         nbytes = self._sizes[i]
@@ -562,31 +548,6 @@ class TraceDriver:
             self._rids[request] = rid
             tracer.request_arrived(
                 rid, kind.value, offset, nbytes, self.sim.now
-            )
-            tracer.request_admitted(rid, request)
-        self._dispatched += 1
-        self.controller.submit(request)
-        self._schedule_next()
-
-    def _arrive(self, record) -> None:
-        request = acquire_request(
-            record.kind,
-            record.offset,
-            record.nbytes,
-            arrival_time=self.sim._now,
-            on_complete=self._request_done,
-        )
-        self._outstanding += 1
-        tracer = self.controller.tracer
-        if tracer is not None:
-            rid = self._dispatched
-            self._rids[request] = rid
-            tracer.request_arrived(
-                rid,
-                record.kind.value,
-                record.offset,
-                record.nbytes,
-                self.sim.now,
             )
             tracer.request_admitted(rid, request)
         self._dispatched += 1
@@ -620,11 +581,11 @@ def run_trace(
     """Replay ``trace`` against ``controller`` and return its metrics.
 
     ``trace`` may be a legacy :class:`Trace` or a columnar
-    :class:`~repro.traces.compiled.CompiledTrace`; both produce
-    byte-identical metrics.  The measurement window closes when the last
-    request completes; the post-trace flush (``drain=True``) brings mirrors
-    consistent *outside* the window so schemes are compared over identical
-    horizons.
+    :class:`~repro.traces.compiled.CompiledTrace`; a legacy trace is
+    lowered to columns first, so both produce byte-identical metrics.  The
+    measurement window closes when the last request completes; the
+    post-trace flush (``drain=True``) brings mirrors consistent *outside*
+    the window so schemes are compared over identical horizons.
     """
     sim = controller.sim
     driver = TraceDriver(

@@ -16,7 +16,7 @@ from typing import Callable, Deque, List, Optional
 from repro.disk.mechanical import MechanicalModel
 from repro.disk.models import DiskSpec
 from repro.disk.power import EnergyAccountant, PowerModel, PowerState
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, fuse_observers
 from repro.sim.stats import Histogram
 
 
@@ -191,6 +191,62 @@ def op_pool_stats() -> dict:
     }
 
 
+#: ``observer(disk, op, prev_head)``, fired once per completed op.
+OpObserver = Callable[["Disk", DiskOp, int], None]
+
+
+def _tracer_op_observer(tracer) -> OpObserver:
+    """Adapt a repro.obs ``Tracer`` into a per-op observer.
+
+    A span-aware tracer (``wants_phases``) gets each op's service interval
+    split into seek, rotation and transfer through ``disk_op_phases``; any
+    other tracer gets the plain ``disk_op`` record.
+    """
+    if not getattr(tracer, "wants_phases", False):
+
+        def trace_op(disk: "Disk", op: DiskOp, prev_head: int) -> None:
+            tracer.disk_op(
+                disk.name,
+                op.kind.value,
+                op.priority.name.lower(),
+                op.sector,
+                op.nbytes,
+                op.submit_time,
+                op.start_time,
+                op.finish_time,
+            )
+
+        return trace_op
+
+    def trace_op_phases(disk: "Disk", op: DiskOp, prev_head: int) -> None:
+        if op.sequential_hint:
+            seek = rot = 0.0
+        else:
+            seek, rot = disk.mechanics.seek_rotation(prev_head, op.sector)
+            if disk.slowdown_factor != 1.0:
+                seek *= disk.slowdown_factor
+                rot *= disk.slowdown_factor
+        # Transfer is the residual so seek + rot + transfer equals the
+        # realized service interval exactly, slowdown included.
+        transfer = (op.finish_time - op.start_time) - seek - rot
+        tracer.disk_op_phases(
+            disk.name,
+            op.kind.value,
+            op.priority.name.lower(),
+            op.sector,
+            op.nbytes,
+            op.submit_time,
+            op.start_time,
+            op.finish_time,
+            seek,
+            rot,
+            transfer,
+            op,
+        )
+
+    return trace_op_phases
+
+
 class Disk:
     """One simulated drive.
 
@@ -219,19 +275,19 @@ class Disk:
         self.power = EnergyAccountant(
             PowerModel(spec), sim.now, initial_state
         )
-        # Tracing: ``tracer`` is a repro.obs Tracer; the NullTracer default
-        # is falsy, so the disabled path normalizes to None.  Rather than
-        # guarding per completed op, attaching/detaching a tracer or an
-        # op observer swaps the bound completion method (see
-        # ``_select_complete``), so the unobserved path carries no guards.
-        self._tracer = tracer if tracer else None
-        self._op_observer = None
-        if self._tracer is not None:
-            self._tracer.power_state(
-                name, None, initial_state.value, sim.now
-            )
-            self.power.on_transition = self._trace_power
-        self._select_complete()
+        #: Per-op observers ``observer(disk, op, prev_head)``, fused into
+        #: ``_op_hook`` (see :meth:`add_op_observer`).
+        self._op_observers: List[OpObserver] = []
+        self._op_hook: Optional[OpObserver] = None
+        # ``tracer`` is a repro.obs Tracer; the NullTracer default is falsy.
+        if tracer:
+            tracer.power_state(name, None, initial_state.value, sim.now)
+
+            def trace_power(now: float, old: PowerState, new: PowerState):
+                tracer.power_state(name, old.value, new.value, now)
+
+            self.power.on_transition = trace_power
+            self.add_op_observer(_tracer_op_observer(tracer))
         self._queues: List[Deque[DiskOp]] = [
             collections.deque() for _ in Priority
         ]
@@ -259,6 +315,9 @@ class Disk:
         self._service_time = self.mechanics.service_time
         self._end_sector = self.mechanics.end_sector
         self._transfer_time = spec.transfer_time
+        # Bound once: ``sim.at`` then gets the same bound method for every
+        # op instead of allocating a fresh one per op.
+        self._complete_op = self._complete
         # Cumulative statistics.
         self.ops_completed = 0
         self.bytes_transferred = 0
@@ -270,50 +329,35 @@ class Disk:
         self.idle_gap_histogram = Histogram.exponential(0.01, 2.0, 24)
         self._idle_since: float = sim.now if initial_state.spun_up else -1.0
 
-    def _trace_power(
-        self, now: float, old: PowerState, new: PowerState
-    ) -> None:
-        self._tracer.power_state(self.name, old.value, new.value, now)
-
     # ------------------------------------------------------------------
-    # Observation attach points (completion-path specialization)
+    # Per-op observation
     # ------------------------------------------------------------------
-    def _select_complete(self) -> None:
-        """Bind the completion method matching the attached observers.
+    def add_op_observer(self, observer: OpObserver) -> None:
+        """Append ``observer(disk, op, prev_head)`` to the per-op chain.
 
-        Called whenever ``tracer``/``op_observer`` change: with neither
-        attached, completions run a guard-free fast path; with either, the
-        observed variant is bound; a span-aware tracer (``wants_phases``)
-        selects the phase-decomposing variant.  Ops already scheduled keep
-        the bound method captured at schedule time, so attach/detach must
-        happen between runs (the instrumentation layers do).
+        Observers fire in registration order once per completed op, after
+        the disk's counters are updated and before the op's
+        ``on_complete``; ``prev_head`` is the head sector before the op.
+        The chain is fused once per change (:func:`fuse_observers`) and read
+        at each completion, so an observer added while an op is in service
+        sees that op.  Observers observe only: observed runs stay
+        byte-identical to plain ones.
         """
-        if self._tracer is None and self._op_observer is None:
-            self._complete = self._complete_fast
-        elif getattr(self._tracer, "wants_phases", False):
-            self._complete = self._complete_spanned
-        else:
-            self._complete = self._complete_observed
+        self._op_observers.append(observer)
+        self._op_hook = fuse_observers(*self._op_observers)
+
+    def remove_op_observer(self, observer: OpObserver) -> None:
+        """Remove one registration of ``observer`` (no-op if absent)."""
+        try:
+            self._op_observers.remove(observer)
+        except ValueError:
+            return
+        self._op_hook = fuse_observers(*self._op_observers)
 
     @property
-    def tracer(self):
-        """The attached structured tracer (``None`` when tracing is off)."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer) -> None:
-        self._tracer = tracer if tracer else None
-        self._select_complete()
-
-    @property
-    def op_observer(self):
-        """Optional ``observer(disk, op)`` fired per completed operation."""
-        return self._op_observer
-
-    @op_observer.setter
-    def op_observer(self, observer) -> None:
-        self._op_observer = observer
-        self._select_complete()
+    def op_hook(self) -> Optional[OpObserver]:
+        """The fused per-op observer chain (``None`` when empty)."""
+        return self._op_hook
 
     # ------------------------------------------------------------------
     # Introspection
@@ -460,94 +504,9 @@ class Disk:
             service *= self.slowdown_factor
         # ``at`` directly: skips schedule()'s negative-delay guard and one
         # call frame on the busiest scheduling site in the simulator.
-        self.sim.at(now + service, self._complete, op, label=self._io_label)
+        self.sim.at(now + service, self._complete_op, op, label=self._io_label)
 
-    # Completion runs once per simulated op; ``self._complete`` is bound to
-    # exactly one of the two variants below by ``_select_complete``, so the
-    # common unobserved path never tests for a tracer or an op observer.
-
-    def _complete_fast(self, op: DiskOp) -> None:
-        now = self.sim._now
-        op.finish_time = now
-        self._head_sector = end = self._end_sector(op.sector, op.nbytes)
-        self._in_service = None
-        self.ops_completed += 1
-        self.bytes_transferred += op.nbytes
-        self.busy_time += now - op.start_time
-        if op.priority is Priority.FOREGROUND:
-            self.foreground_ops += 1
-        else:
-            self.background_ops += 1
-        if self._latent_errors and op.kind is OpKind.READ:
-            self._surface_latent_errors(op.sector, end)
-        callback = op.on_complete
-        if callback is not None:
-            callback(op)
-        if op._pooled:
-            release_op(op)
-        if self._queues[0] or self._queues[1]:
-            self._try_start()
-        elif self._in_service is None:
-            # The guard matters: ``on_complete`` may have submitted a new
-            # op to this very disk, whose nested ``_try_start`` already put
-            # it in service — dropping to IDLE then would bill idle watts
-            # for a servicing disk and corrupt the idle-gap accounting.
-            power = self.power
-            if power._state is PowerState.ACTIVE:
-                power.transition(now, PowerState.IDLE)
-            self._idle_since = now
-            self._notify_idle()
-
-    def _complete_observed(self, op: DiskOp) -> None:
-        now = self.sim._now
-        op.finish_time = now
-        self._head_sector = end = self._end_sector(op.sector, op.nbytes)
-        self._in_service = None
-        self.ops_completed += 1
-        self.bytes_transferred += op.nbytes
-        self.busy_time += now - op.start_time
-        if op.priority is Priority.FOREGROUND:
-            self.foreground_ops += 1
-        else:
-            self.background_ops += 1
-        if self._latent_errors and op.kind is OpKind.READ:
-            self._surface_latent_errors(op.sector, end)
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.disk_op(
-                self.name,
-                op.kind.value,
-                op.priority.name.lower(),
-                op.sector,
-                op.nbytes,
-                op.submit_time,
-                op.start_time,
-                now,
-            )
-        observer = self._op_observer
-        if observer is not None:
-            observer(self, op)
-        callback = op.on_complete
-        if callback is not None:
-            callback(op)
-        if op._pooled:
-            release_op(op)
-        if self._queues[0] or self._queues[1]:
-            self._try_start()
-        elif self._in_service is None:
-            # See _complete_fast: never idle-bill a disk that on_complete
-            # already put back in service.
-            power = self.power
-            if power._state is PowerState.ACTIVE:
-                power.transition(now, PowerState.IDLE)
-            self._idle_since = now
-            self._notify_idle()
-
-    def _complete_spanned(self, op: DiskOp) -> None:
-        # _complete_observed with a mechanical-phase decomposition of the
-        # service interval.  The previous head position must be captured
-        # before the head advances; everything else mirrors the observed
-        # variant byte-for-byte so spanned runs stay metrics-identical.
+    def _complete(self, op: DiskOp) -> None:
         now = self.sim._now
         prev_head = self._head_sector
         op.finish_time = now
@@ -562,37 +521,9 @@ class Disk:
             self.background_ops += 1
         if self._latent_errors and op.kind is OpKind.READ:
             self._surface_latent_errors(op.sector, end)
-        tracer = self._tracer
-        if tracer is not None:
-            if op.sequential_hint:
-                seek = rot = 0.0
-            else:
-                seek, rot = self.mechanics.seek_rotation(
-                    prev_head, op.sector
-                )
-                if self.slowdown_factor != 1.0:
-                    seek *= self.slowdown_factor
-                    rot *= self.slowdown_factor
-            # Transfer is the residual so seek + rot + transfer equals the
-            # realized service interval exactly, slowdown included.
-            transfer = (now - op.start_time) - seek - rot
-            tracer.disk_op_phases(
-                self.name,
-                op.kind.value,
-                op.priority.name.lower(),
-                op.sector,
-                op.nbytes,
-                op.submit_time,
-                op.start_time,
-                now,
-                seek,
-                rot,
-                transfer,
-                op,
-            )
-        observer = self._op_observer
-        if observer is not None:
-            observer(self, op)
+        hook = self._op_hook
+        if hook is not None:
+            hook(self, op, prev_head)
         callback = op.on_complete
         if callback is not None:
             callback(op)
@@ -601,8 +532,10 @@ class Disk:
         if self._queues[0] or self._queues[1]:
             self._try_start()
         elif self._in_service is None:
-            # See _complete_fast: never idle-bill a disk that on_complete
-            # already put back in service.
+            # The guard matters: ``on_complete`` may have submitted a new
+            # op to this very disk, whose nested ``_try_start`` already put
+            # it in service — dropping to IDLE then would bill idle watts
+            # for a servicing disk and corrupt the idle-gap accounting.
             power = self.power
             if power._state is PowerState.ACTIVE:
                 power.transition(now, PowerState.IDLE)

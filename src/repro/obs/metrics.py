@@ -1043,9 +1043,9 @@ class RunInstrumentation:
 
     # -- hooks ----------------------------------------------------------
     def install(self) -> None:
-        # Register through the engine's fused-hook builder so layered
-        # observers (the invariant checker, profilers) compose in fixed
-        # order and teardown re-selects the no-hook specialized loop.
+        # Register through the engine's fused hook so layered observers
+        # (the invariant checker, profilers) compose in fixed order and
+        # teardown leaves replays on the hook-free loop.
         self.sim.add_event_observer(self._on_event)
         scheme = self.scheme
         registry = self.registry
@@ -1079,7 +1079,7 @@ class RunInstrumentation:
             for priority in ("foreground", "background")
         )
 
-        def _on_op(disk, op) -> None:
+        def _on_op(disk, op, prev_head) -> None:
             service[op.priority].observe(op.finish_time - op.start_time)
 
         self._op_observer = _on_op
@@ -1090,7 +1090,7 @@ class RunInstrumentation:
 
     def _adopt_disk(self, disk) -> None:
         """Observe ``disk``'s ops and harvest its op counts from here on."""
-        disk.op_observer = self._op_observer
+        disk.add_op_observer(self._op_observer)
         self._op_baseline[disk] = (disk.foreground_ops, disk.background_ops)
 
     def _on_event(self, event) -> None:
@@ -1129,8 +1129,7 @@ class RunInstrumentation:
         self.controller.metrics.on_response = None
         self.controller.on_disk_created = None
         for disk in self._op_baseline:
-            if disk.op_observer is self._op_observer:
-                disk.op_observer = None
+            disk.remove_op_observer(self._op_observer)
         self._installed = False
 
     def harvest(self) -> None:

@@ -3,8 +3,8 @@
 :class:`SpanRecorder` extends :class:`~repro.obs.tracer.RecordingTracer`
 with *causal* structure: every disk-op span carries the mechanical phase
 breakdown of its service interval (seek / rotation / transfer, exact by
-construction — the disk's spanned completion path derives them from the
-same :class:`~repro.disk.mechanical.MechanicalModel` arithmetic that
+construction — the disk's phase-splitting op observer derives them from
+the same :class:`~repro.disk.mechanical.MechanicalModel` arithmetic that
 costed the op) and a link back to its owner: the admitted
 :class:`~repro.raid.request.IORequest` (as a ``rid`` attr) or the
 background process that issued it (destage process, parity pump, cache
@@ -14,9 +14,8 @@ Owner resolution is zero-cost on the simulation side: controllers hand
 disks either a bound method (whose ``__self__`` *is* the owner) or a
 closure tagged with ``_span_owner`` at creation time; the recorder walks
 that linkage only at completion, so span-traced runs stay byte-identical
-to plain runs per the PR 9 contract (``wants_phases`` selects
-``Disk._complete_spanned`` at setup time; nothing is tested per-op when
-spans are off).
+to plain runs (``wants_phases`` picks the phase-splitting op observer
+when the disk is built; an untraced disk has no op observer at all).
 
 The resulting event stream is a plain list of
 :class:`~repro.obs.tracer.TraceEvent` records — the existing JSONL /
@@ -35,10 +34,9 @@ class SpanRecorder(RecordingTracer):
     """A :class:`RecordingTracer` that records causal, phase-decomposed
     disk-op spans.
 
-    Setting :attr:`wants_phases` makes every disk bind its
-    ``_complete_spanned`` path at construction, which reports completions
-    through :meth:`disk_op_phases` instead of ``disk_op``.  The span
-    attrs gain:
+    Setting :attr:`wants_phases` makes every disk built with this tracer
+    report completions through :meth:`disk_op_phases` instead of
+    ``disk_op``.  The span attrs gain:
 
     ``seek_s`` / ``rot_s`` / ``transfer_s``
         Mechanical phase durations; their sum equals the span's ``dur``

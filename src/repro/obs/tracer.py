@@ -81,11 +81,10 @@ class Tracer:
 
     enabled = True
 
-    #: When true, disks bind their span-aware completion path
-    #: (``Disk._complete_spanned``) at construction/selection time and
-    #: report per-phase service decompositions through
-    #: ``disk_op_phases``.  Plain tracers leave this false and keep the
-    #: cheaper observed path.
+    #: When true, a disk built with this tracer registers an op observer
+    #: that splits each op's service interval into seek, rotation and
+    #: transfer and reports it through ``disk_op_phases``.  Plain tracers
+    #: leave this false and get the cheaper ``disk_op`` record.
     wants_phases = False
 
     # -- request lifecycle ------------------------------------------------

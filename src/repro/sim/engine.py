@@ -16,11 +16,11 @@ Hot-path design (every simulated disk op passes through here twice):
   a census of them and compacts the heap in place once they exceed half of
   a non-trivial heap, so pathological ``Timer`` re-arm patterns cannot grow
   the heap without bound.
-* Per-event observers are specialized away at setup time: installing or
-  clearing a hook (``set_event_hook`` / ``add_event_observer``) selects one
-  of several monomorphic run loops, so the no-hook loop carries zero hook
-  branches and the hooked loop calls a single pre-fused closure
-  (:func:`fuse_observers`) chaining all observers in registration order.
+* Per-event observers register through ``add_event_observer`` and are
+  fused into one closure (:func:`fuse_observers`) in registration order.
+  :meth:`Simulator.run` picks its loop once per call: a replay (no hook,
+  no ``until``) runs a loop with zero hook or horizon branches; anything
+  else runs one general loop that calls the fused hook when there is one.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ _FREE_LIST_MAX = 4096
 #: this many entries AND more than half of them are cancelled.
 _COMPACT_MIN_HEAP = 1024
 
+_INF = float("inf")
+
 
 class SimulationError(RuntimeError):
     """Raised for invalid scheduler usage (e.g. scheduling in the past)."""
@@ -49,7 +51,10 @@ def fuse_observers(*observers: Optional[Callable]) -> Optional[Callable]:
     :attr:`Simulator.event_hook` keep working for lone observers.  Layered
     instrumentation (tracing, metrics, invariant checking) must register
     through this builder — via :meth:`Simulator.add_event_observer` — so
-    the run loop only ever calls one pre-fused callable per event.
+    the run loop only ever calls one pre-fused callable per event.  The
+    fused closures pass their positional arguments through, so the same
+    builder fuses per-op disk observers
+    (:meth:`repro.disk.disk.Disk.add_op_observer`).
     """
     chain = tuple(obs for obs in observers if obs is not None)
     if not chain:
@@ -59,15 +64,15 @@ def fuse_observers(*observers: Optional[Callable]) -> Optional[Callable]:
     if len(chain) == 2:
         first, second = chain
 
-        def fused_pair(event, _first=first, _second=second):
-            _first(event)
-            _second(event)
+        def fused_pair(*args, _first=first, _second=second):
+            _first(*args)
+            _second(*args)
 
         return fused_pair
 
-    def fused(event, _chain=chain):
+    def fused(*args, _chain=chain):
         for obs in _chain:
-            obs(event)
+            obs(*args)
 
     return fused
 
@@ -146,8 +151,6 @@ class Simulator:
         self._event_hook: Optional[Callable[[Event], None]] = None
         #: Registered per-event observers, fused into ``_event_hook``.
         self._event_observers: List[Callable[[Event], None]] = []
-        #: The monomorphic run loop selected at hook-(un)install time.
-        self._run_loop: Callable[[Optional[float]], None] = self._run_nohook
         #: Recycled Event objects awaiting reuse.
         self._free: List[Event] = []
         #: Census of cancelled events still sitting in the heap.  Kept
@@ -157,32 +160,15 @@ class Simulator:
         #: How many automatic/explicit compactions have run (introspection).
         self.compactions = 0
 
-    def set_event_hook(
-        self, hook: Optional[Callable[[Event], None]]
-    ) -> None:
-        """Install (or clear, with ``None``) a per-event observer.
-
-        The hook fires with each :class:`Event` just before its callback
-        runs.  It is for observation only (profiling, label counting) and
-        must not mutate simulator state.  Replaces the whole observer
-        chain; layered observers should prefer :meth:`add_event_observer`.
-
-        Installation selects the run loop: with no hook :meth:`run`
-        dispatches to a loop with zero hook branches, so the disabled path
-        costs literally nothing per event; with a hook it dispatches to a
-        loop calling the single pre-fused observer chain.
-        """
-        self._event_observers = [] if hook is None else [hook]
-        self._event_hook = hook
-        self._run_loop = self._run_nohook if hook is None else self._run_hooked
-
     def add_event_observer(self, observer: Callable[[Event], None]) -> None:
         """Append ``observer`` to the per-event chain and re-fuse the hook.
 
-        Observers fire in registration order through one fused closure
-        (:func:`fuse_observers`); the run loop never walks a list per
-        event.  This is the registration point for every layered observer
-        (metrics instrumentation, invariant checker, profiler).
+        Observers fire, just before each event's callback, in registration
+        order through one fused closure (:func:`fuse_observers`); the run
+        loop never walks a list per event.  They observe only and must not
+        mutate simulator state.  This is the only way to hook the engine:
+        metrics instrumentation, the invariant checker and profilers all
+        register here.
         """
         if observer is None:
             raise SimulationError("event observer must not be None")
@@ -192,8 +178,8 @@ class Simulator:
     def remove_event_observer(self, observer: Callable[[Event], None]) -> None:
         """Remove one registration of ``observer`` and re-fuse the hook.
 
-        Removing the last observer restores the no-hook specialized loop
-        (``event_hook`` reads ``None`` again).  Unknown observers are
+        Removing the last observer leaves ``event_hook`` ``None`` again, so
+        replays go back to the hook-free loop.  Unknown observers are
         ignored so teardown stays idempotent.
         """
         try:
@@ -203,18 +189,15 @@ class Simulator:
         self._refuse_hook()
 
     def _refuse_hook(self) -> None:
-        """Rebuild the fused hook + loop selection from the observer list."""
-        hook = fuse_observers(*self._event_observers)
-        self._event_hook = hook
-        self._run_loop = self._run_nohook if hook is None else self._run_hooked
+        """Rebuild the fused hook from the observer list."""
+        self._event_hook = fuse_observers(*self._event_observers)
 
     @property
     def event_hook(self) -> Optional[Callable[["Event"], None]]:
-        """The currently installed per-event observer (``None`` if unset).
+        """The fused per-event observer chain (``None`` when empty).
 
-        Exposed so that layered observers (metrics instrumentation, the
-        verification invariant checker) can chain onto an existing hook
-        and restore it afterwards instead of silently clobbering it.
+        Read-only: register and deregister through
+        :meth:`add_event_observer` / :meth:`remove_event_observer`.
         """
         return self._event_hook
 
@@ -389,91 +372,38 @@ class Simulator:
         advanced to exactly ``until`` even if the last event fired earlier,
         so time-weighted statistics close cleanly.
 
-        Dispatches to the monomorphic loop selected when the event hook was
-        last (un)installed, so the common no-hook path never tests for
-        instrumentation — not even once per run.
+        The loop is chosen once per call: a replay with no hook and no
+        ``until`` runs :meth:`_run_fast`, which never tests for either;
+        everything else runs :meth:`_run_general`.
         """
         if self._running:
             raise SimulationError("simulator is re-entrant only via step()")
         self._running = True
         self._stopped = False
         try:
-            self._run_loop(until)
+            if until is None and self._event_hook is None:
+                self._run_fast()
+            else:
+                self._run_general(
+                    self._event_hook, _INF if until is None else until
+                )
         finally:
             self._running = False
         if until is not None and self._now < until:
             self._now = until
         return self._now
 
-    # The loops below are the simulation's profile-dominating code.  Each
-    # is monomorphic: selected once at set_event_hook/add_event_observer
-    # time (and, for the ``until`` split, once per run call), with zero
-    # feature tests per event.  They inline peek()+step() so each event
-    # costs exactly one heap pop (cancelled events are skipped in place),
-    # with the heap, heappop and free list bound to locals.  compact()
-    # mutates the heap and free lists in place, so those local bindings
-    # survive a compaction from inside a callback.
+    # The loops below are the simulation's profile-dominating code.  They
+    # inline peek()+step() so each event costs exactly one heap pop
+    # (cancelled events are skipped in place), with the heap, heappop and
+    # free list bound to locals, and recycle fired events inline.
+    # compact() mutates the heap and free lists in place, so those local
+    # bindings survive a compaction from inside a callback.
 
-    def _run_nohook(self, until: Optional[float]) -> None:
-        """Fast loop: no hook branches at all (the disabled-cost path)."""
+    def _run_fast(self) -> None:
+        """Replay loop: no hook and no horizon, so no branch for either."""
         heap = self._heap
         heappop = heapq.heappop
-        free = self._free
-        processed = 0
-        try:
-            if until is None:
-                while heap and not self._stopped:
-                    entry = heap[0]
-                    event = entry[2]
-                    if event.cancelled:
-                        heappop(heap)
-                        if self._cancelled > 0:
-                            self._cancelled -= 1
-                        event.callback = None
-                        event.args = None
-                        if len(free) < _FREE_LIST_MAX:
-                            free.append(event)
-                        continue
-                    heappop(heap)
-                    self._now = entry[0]
-                    processed += 1
-                    event.callback(*event.args)
-                    event.callback = None
-                    event.args = None
-                    if len(free) < _FREE_LIST_MAX:
-                        free.append(event)
-            else:
-                while heap and not self._stopped:
-                    entry = heap[0]
-                    event = entry[2]
-                    if event.cancelled:
-                        heappop(heap)
-                        if self._cancelled > 0:
-                            self._cancelled -= 1
-                        event.callback = None
-                        event.args = None
-                        if len(free) < _FREE_LIST_MAX:
-                            free.append(event)
-                        continue
-                    time = entry[0]
-                    if time > until:
-                        break
-                    heappop(heap)
-                    self._now = time
-                    processed += 1
-                    event.callback(*event.args)
-                    event.callback = None
-                    event.args = None
-                    if len(free) < _FREE_LIST_MAX:
-                        free.append(event)
-        finally:
-            self.events_processed += processed
-
-    def _run_hooked(self, until: Optional[float]) -> None:
-        """Instrumented loop: calls the single pre-fused observer chain."""
-        heap = self._heap
-        heappop = heapq.heappop
-        hook = self._event_hook
         free = self._free
         processed = 0
         try:
@@ -484,17 +414,56 @@ class Simulator:
                     heappop(heap)
                     if self._cancelled > 0:
                         self._cancelled -= 1
-                    self._recycle(event)
+                    event.callback = None
+                    event.args = None
+                    if len(free) < _FREE_LIST_MAX:
+                        free.append(event)
+                    continue
+                heappop(heap)
+                self._now = entry[0]
+                processed += 1
+                event.callback(*event.args)
+                event.callback = None
+                event.args = None
+                if len(free) < _FREE_LIST_MAX:
+                    free.append(event)
+        finally:
+            self.events_processed += processed
+
+    def _run_general(
+        self, hook: Optional[Callable[[Event], None]], until: float
+    ) -> None:
+        """General loop: calls ``hook`` (if any) and stops past ``until``."""
+        heap = self._heap
+        heappop = heapq.heappop
+        free = self._free
+        processed = 0
+        try:
+            while heap and not self._stopped:
+                entry = heap[0]
+                event = entry[2]
+                if event.cancelled:
+                    heappop(heap)
+                    if self._cancelled > 0:
+                        self._cancelled -= 1
+                    event.callback = None
+                    event.args = None
+                    if len(free) < _FREE_LIST_MAX:
+                        free.append(event)
                     continue
                 time = entry[0]
-                if until is not None and time > until:
+                if time > until:
                     break
                 heappop(heap)
                 self._now = time
                 processed += 1
-                hook(event)
+                if hook is not None:
+                    hook(event)
                 event.callback(*event.args)
-                self._recycle(event)
+                event.callback = None
+                event.args = None
+                if len(free) < _FREE_LIST_MAX:
+                    free.append(event)
         finally:
             self.events_processed += processed
 

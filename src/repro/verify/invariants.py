@@ -50,7 +50,6 @@ class InvariantChecker:
         self.checks_run = 0
         self.sim = None
         self.controller = None
-        self._prev_hook = None
         self._installed = False
         self._tick = 0
         self._last_energy = 0.0
@@ -90,14 +89,12 @@ class InvariantChecker:
     def uninstall(self) -> None:
         """Run a final sweep and deregister from the event hook.
 
-        Removing the last observer restores the engine's no-hook
-        specialized run loop (``sim.event_hook`` reads ``None`` again).
+        Observers registered before or after the checker stay registered.
         """
         if not self._installed:
             return
         self._check_now()
         self.sim.remove_event_observer(self._on_event)
-        self._prev_hook = None
         self._installed = False
 
     # ------------------------------------------------------------------

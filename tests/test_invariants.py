@@ -307,14 +307,18 @@ class TestRuntimeInvariantChecker:
         controller = build_controller("rolo-p", sim, small_config())
         seen = []
         hook = seen.append
-        sim.set_event_hook(hook)
+        sim.add_event_observer(hook)
         checker = InvariantChecker()
         checker.install(sim, controller)
         sim.schedule(0.0, lambda: None, label="tick")
         sim.run()
+        assert seen  # the earlier observer kept firing
         checker.uninstall()
-        assert sim.event_hook is hook
-        assert seen  # the chained previous hook kept firing
+        assert sim.event_hook is hook  # and stayed registered
+        sim.schedule(0.0, lambda: None, label="tock")
+        fired_before = len(seen)
+        sim.run()
+        assert len(seen) == fired_before + 1
 
     def test_checker_rejects_double_install(self, sim):
         from repro.core import build_controller

@@ -617,7 +617,7 @@ class TestHarvestedMetering:
         assert sum(ops.values()) == completed == served
         # Teardown detached the observer from every disk, swapped-out
         # failed disk and replacement included.
-        assert all(d.op_observer is None for d in made)
+        assert all(d.op_hook is None for d in made)
 
 
 def _scheme_of(registry: MetricsRegistry) -> str:

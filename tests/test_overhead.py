@@ -24,7 +24,12 @@ from repro.disk.disk import (
 )
 from repro.disk.models import ULTRASTAR_36Z15
 from repro.faults.oracle import ConsistencyOracle
-from repro.obs import MetricsRegistry, RecordingTracer, RunInstrumentation
+from repro.obs import (
+    MetricsRegistry,
+    RecordingTracer,
+    RunInstrumentation,
+    SpanRecorder,
+)
 from repro.raid.request import (
     RequestKind,
     acquire_request,
@@ -80,23 +85,48 @@ class TestFusedObservers:
         fused(object())
         assert seen == ["a", "b", "c"]
 
+    def test_chain_passes_positional_arguments_through(self):
+        seen = []
+        fused = fuse_observers(
+            lambda *args: seen.append(("a", args)),
+            lambda *args: seen.append(("b", args)),
+        )
+        fused("disk", "op", 7)
+        assert seen == [("a", ("disk", "op", 7)), ("b", ("disk", "op", 7))]
+
     def test_fresh_simulator_selects_nohook_loop(self):
         sim = Simulator()
         assert sim.event_hook is None
-        assert sim._run_loop.__func__ is Simulator._run_nohook
+        sim.schedule(1.0, lambda: None, label="tick")
+        assert sim.run() == 1.0
+        assert sim.events_processed == 1
 
     def test_observer_registration_swaps_loops(self):
-        sim = Simulator()
-
         def hook(event):
             pass
 
+        sim = Simulator()
+        assert sim.event_hook is None
         sim.add_event_observer(hook)
         assert sim.event_hook is hook
-        assert sim._run_loop.__func__ is Simulator._run_hooked
         sim.remove_event_observer(hook)
         assert sim.event_hook is None
-        assert sim._run_loop.__func__ is Simulator._run_nohook
+
+        def dispatch(observer):
+            sim = Simulator()
+            fired = []
+            if observer is not None:
+                sim.add_event_observer(observer)
+            for t in (2.0, 1.0, 1.0, 3.0):
+                sim.schedule(t, fired.append, t, label=f"t{t:g}")
+            sim.schedule(1.5, fired.append, "cancelled").cancel()
+            sim.run()
+            return fired, sim.events_processed, sim.now
+
+        # Runs with and without an observer dispatch the same events.
+        labels = []
+        assert dispatch(None) == dispatch(lambda e: labels.append(e.label))
+        assert labels == ["t1", "t1", "t2", "t3"]
 
     def test_hooked_loop_fires_chain_per_event(self):
         sim = Simulator()
@@ -124,13 +154,14 @@ class TestFullHookStack:
         controller = build_controller(
             "rolo-r", sim, config, tracer=tracer
         )
+        disks = controller.all_disks()
+        tracer_hooks = [disk.op_hook for disk in disks]
         registry = MetricsRegistry()
         instrumentation = RunInstrumentation(sim, controller, registry)
         instrumentation.install()
         checker = InvariantChecker(sample_every=16)
         checker.install(sim, controller)
         assert sim.event_hook is not None
-        assert sim._run_loop.__func__ is Simulator._run_hooked
 
         stacked = run_trace(controller, trace)
 
@@ -142,9 +173,11 @@ class TestFullHookStack:
         assert json.dumps(stacked.to_dict(), sort_keys=True) == json.dumps(
             plain.to_dict(), sort_keys=True
         )
-        # All layers detached: the no-hook specialized loop is re-selected.
+        # All layers detached: no event hook, and no disk holds an op hook
+        # beyond the adapter of the tracer it was built with.
         assert sim.event_hook is None
-        assert sim._run_loop.__func__ is Simulator._run_nohook
+        assert all(tracer_hooks)
+        assert [disk.op_hook for disk in disks] == tracer_hooks
         # Every layer actually observed the run.
         assert tracer.events
         assert checker.checks_run > 0
@@ -170,39 +203,119 @@ class TestFullHookStack:
 
 
 # ----------------------------------------------------------------------
-# Disk completion specialization
+# Disk completion: one path, observed or not
 # ----------------------------------------------------------------------
+def _op_recorder(seen):
+    def observer(disk, op, prev_head):
+        seen.append((disk.name, op.sector, prev_head))
+
+    return observer
+
+
 class TestDiskCompletionSpecialization:
     def test_unobserved_disk_binds_fast_completion(self):
         sim = Simulator()
         disk = Disk(sim, ULTRASTAR_36Z15, "D")
-        assert disk._complete.__func__ is Disk._complete_fast
+        assert disk.op_hook is None
+        disk.submit(DiskOp(OpKind.WRITE, 0, 64 * KB))
+        sim.run()
+        assert disk.ops_completed == 1
 
     def test_attaching_observer_swaps_to_observed_and_back(self):
         sim = Simulator()
         disk = Disk(sim, ULTRASTAR_36Z15, "D")
-        disk.op_observer = lambda d, op: None
-        assert disk._complete.__func__ is Disk._complete_observed
-        disk.op_observer = None
-        assert disk._complete.__func__ is Disk._complete_fast
+        seen = []
+        observer = _op_recorder(seen)
+        disk.add_op_observer(observer)
+        assert disk.op_hook is not None
+        disk.submit(DiskOp(OpKind.WRITE, 5000, 64 * KB))
+        sim.run()
+        disk.remove_op_observer(observer)
+        assert disk.op_hook is None
+        disk.submit(DiskOp(OpKind.WRITE, 100, 64 * KB))
+        sim.run()
+        assert [s[1] for s in seen] == [5000]
+        assert disk.ops_completed == 2
 
     def test_tracer_selects_observed_completion(self):
         sim = Simulator()
-        disk = Disk(sim, ULTRASTAR_36Z15, "D", tracer=RecordingTracer())
-        assert disk._complete.__func__ is Disk._complete_observed
+        tracer = RecordingTracer()
+        disk = Disk(sim, ULTRASTAR_36Z15, "D", tracer=tracer)
+        assert disk.op_hook is not None
+        disk.submit(DiskOp(OpKind.WRITE, 0, 64 * KB))
+        sim.run()
+        ops = [e for e in tracer.events if e.category == "disk_op"]
+        assert len(ops) == 1
+        assert ops[0].track == "D" and ops[0].attrs["sector"] == 0
 
-    def test_observed_and_fast_paths_complete_identically(self):
-        def run(observed):
+    @pytest.mark.parametrize(
+        "observation",
+        [
+            "plain",
+            "op-observer",
+            "recording-tracer",
+            "span-recorder",
+            "tracer+observer",
+        ],
+    )
+    def test_observed_and_fast_paths_complete_identically(self, observation):
+        def run(observation):
             sim = Simulator()
-            disk = Disk(sim, ULTRASTAR_36Z15, "D")
-            if observed:
-                disk.op_observer = lambda d, op: None
+            tracer = {
+                "recording-tracer": RecordingTracer,
+                "span-recorder": SpanRecorder,
+                "tracer+observer": RecordingTracer,
+            }.get(observation, lambda: None)()
+            disk = Disk(sim, ULTRASTAR_36Z15, "D", tracer=tracer)
+            seen = []
+            if observation in ("op-observer", "tracer+observer"):
+                disk.add_op_observer(_op_recorder(seen))
             for sector in (0, 5000, 100):
                 disk.submit(DiskOp(OpKind.WRITE, sector, 64 * KB))
+            sim.schedule(1.0, disk.submit, DiskOp(OpKind.READ, 9000, 4 * KB))
             sim.run()
-            return disk.ops_completed, disk.busy_time, sim.now
+            if seen:
+                assert [s[1] for s in seen] == [0, 5000, 100, 9000]
+            if tracer is not None:
+                ops = [e for e in tracer.events if e.category == "disk_op"]
+                assert len(ops) == 4
+            return (
+                disk.ops_completed,
+                disk.busy_time,
+                disk.idle_gap_histogram.counts,
+                disk.idle_gap_histogram.count,
+                sim.now,
+            )
 
-        assert run(False) == run(True)
+        assert run(observation) == run("plain")
+
+    def test_observer_added_mid_op_sees_it(self):
+        sim = Simulator()
+        disk = Disk(sim, ULTRASTAR_36Z15, "D")
+        disk.submit(DiskOp(OpKind.WRITE, 5000, 64 * KB))
+        assert disk.busy
+        seen = []
+        disk.add_op_observer(_op_recorder(seen))
+        sim.run()
+        assert seen == [("D", 5000, 0)]
+
+    def test_tracer_survives_another_observer_leaving(self):
+        sim = Simulator()
+        tracer = RecordingTracer()
+        disk = Disk(sim, ULTRASTAR_36Z15, "D", tracer=tracer)
+        seen = []
+        other = _op_recorder(seen)
+        disk.add_op_observer(other)
+        disk.remove_op_observer(other)
+        disk.submit(DiskOp(OpKind.WRITE, 0, 64 * KB))
+        sim.run()
+        assert disk.request_spin_down()
+        sim.run()
+        assert seen == []
+        assert disk.ops_completed == 1
+        categories = [event.category for event in tracer.events]
+        assert categories.count("disk_op") == 1
+        assert "power" in categories
 
 
 # ----------------------------------------------------------------------

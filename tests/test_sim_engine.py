@@ -4,6 +4,19 @@ import pytest
 
 from repro.sim import SimulationError, Simulator, Timer
 
+#: ``run(until=...)`` takes the general loop with and without a hook, so
+#: the horizon tests run both ways.
+observed_or_not = pytest.mark.parametrize(
+    "observed", [False, True], ids=["no-observer", "one-observer"]
+)
+
+
+def _simulator(observed):
+    sim = Simulator()
+    if observed:
+        sim.add_event_observer(lambda event: None)
+    return sim
+
 
 def test_clock_starts_at_zero():
     sim = Simulator()
@@ -70,8 +83,9 @@ def test_nested_scheduling_from_callback():
     assert sim.now == 2.0
 
 
-def test_run_until_stops_before_later_events():
-    sim = Simulator()
+@observed_or_not
+def test_run_until_stops_before_later_events(observed):
+    sim = _simulator(observed)
     fired = []
     sim.schedule(1.0, fired.append, "early")
     sim.schedule(10.0, fired.append, "late")
@@ -83,8 +97,9 @@ def test_run_until_stops_before_later_events():
     assert fired == ["early", "late"]
 
 
-def test_run_until_advances_clock_without_events():
-    sim = Simulator()
+@observed_or_not
+def test_run_until_advances_clock_without_events(observed):
+    sim = _simulator(observed)
     sim.run(until=42.0)
     assert sim.now == 42.0
 
@@ -185,8 +200,9 @@ class TestRunEdgeCases:
         assert fired == [1, 2, 3]
         assert sim.now == 3.0
 
-    def test_run_until_then_resume(self):
-        sim = Simulator()
+    @observed_or_not
+    def test_run_until_then_resume(self, observed):
+        sim = _simulator(observed)
         fired = []
         for t in (1.0, 2.0, 3.0, 4.0):
             sim.at(t, fired.append, t)
@@ -200,8 +216,9 @@ class TestRunEdgeCases:
         assert sim.now == 4.0
         assert sim.events_processed == 4
 
-    def test_run_until_exact_event_time_inclusive(self):
-        sim = Simulator()
+    @observed_or_not
+    def test_run_until_exact_event_time_inclusive(self, observed):
+        sim = _simulator(observed)
         fired = []
         sim.at(2.0, fired.append, 2.0)
         sim.at(2.0 + 1e-9, fired.append, "later")
@@ -228,8 +245,9 @@ class TestRunEdgeCases:
         assert sim.events_processed == 1
         assert sim.now == 1.0
 
-    def test_stop_during_run_until_still_advances_clock(self):
-        sim = Simulator()
+    @observed_or_not
+    def test_stop_during_run_until_still_advances_clock(self, observed):
+        sim = _simulator(observed)
         fired = []
         sim.schedule(1.0, sim.stop)
         sim.schedule(2.0, lambda: fired.append(2))

@@ -20,7 +20,7 @@ from repro.core import (
     build_raid5_controller,
     run_trace,
 )
-from repro.disk.disk import Disk, Scheduler
+from repro.disk.disk import Disk, DiskOp, OpKind, Scheduler
 from repro.disk.mechanical import MechanicalModel
 from repro.disk.models import ULTRASTAR_36Z15
 from repro.disk.power import PowerState
@@ -107,7 +107,7 @@ class TestSeekRotation:
 
 
 # ----------------------------------------------------------------------
-# Completion dispatch specialization (the PR 9 contract, extended)
+# Completion observation: the tracer picks the op adapter
 # ----------------------------------------------------------------------
 class TestCompletionBinding:
     def _disk(self, tracer):
@@ -120,17 +120,41 @@ class TestCompletionBinding:
             tracer=tracer,
         )
 
+    def _run_ops(self, disk):
+        for sector in (0, 50_000):
+            disk.submit(DiskOp(OpKind.READ, sector, 64 * KB))
+        disk.sim.run()
+
     def test_plain_disk_binds_fast_completion(self):
         disk = self._disk(None)
-        assert disk._complete.__func__ is Disk._complete_fast
+        assert disk.op_hook is None
+        self._run_ops(disk)
+        assert disk.ops_completed == 2
 
     def test_recording_tracer_binds_observed_completion(self):
-        disk = self._disk(RecordingTracer())
-        assert disk._complete.__func__ is Disk._complete_observed
+        tracer = RecordingTracer()
+        disk = self._disk(tracer)
+        assert disk.op_hook is not None
+        self._run_ops(disk)
+        ops = [e for e in tracer.events if e.category == "disk_op"]
+        assert [e.attrs["sector"] for e in ops] == [0, 50_000]
+        # A plain tracer gets no mechanical-phase split.
+        assert all("seek_s" not in e.attrs for e in ops)
 
     def test_span_recorder_binds_spanned_completion(self):
-        disk = self._disk(SpanRecorder())
-        assert disk._complete.__func__ is Disk._complete_spanned
+        tracer = SpanRecorder()
+        disk = self._disk(tracer)
+        assert disk.op_hook is not None
+        self._run_ops(disk)
+        ops = [e for e in tracer.events if e.category == "disk_op"]
+        assert [e.attrs["sector"] for e in ops] == [0, 50_000]
+        for e in ops:
+            phases = e.attrs["seek_s"] + e.attrs["rot_s"]
+            assert phases + e.attrs["transfer_s"] == pytest.approx(
+                e.dur, abs=1e-12
+            )
+        # The second op moves the head, so its seek is not free.
+        assert ops[1].attrs["seek_s"] > 0.0
 
 
 # ----------------------------------------------------------------------
