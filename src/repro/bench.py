@@ -30,6 +30,7 @@ import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core import ArrayConfig, build_controller, run_trace
+from repro.obs.export import ensure_parent
 from repro.sim import Simulator
 from repro.traces.synthetic import (
     Burstiness,
@@ -675,6 +676,7 @@ def build_report(
 
 
 def write_report(report: Dict[str, Any], path: str) -> str:
+    ensure_parent(path)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -1002,9 +1004,7 @@ flagged regressions: {flagged}</p>
 
 
 def write_trend_html(report: Dict[str, Any], path: str) -> str:
-    parent = os.path.dirname(os.path.abspath(path))
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    ensure_parent(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(render_trend_html(report))
     return path

@@ -44,6 +44,7 @@ from repro.experiments import cache as result_cache
 from repro.experiments import get_experiment, list_experiments, runner
 from repro.experiments.parallel import CellExecution, default_jobs, execute_cells
 from repro.experiments.runner import simulate_workload
+from repro.obs.export import ensure_parent
 from repro.reliability import mttdl_closed_form, mttdl_ctmc
 from repro.reliability.mttdl import HOURS_PER_DAY, HOURS_PER_YEAR
 from repro.traces import PAPER_WORKLOADS, build_workload_trace, characterize
@@ -153,6 +154,7 @@ def _run_experiments(args: argparse.Namespace) -> int:
             print(stats.profiles.render())
         print()
         if args.out:
+            ensure_parent(args.out)
             with open(args.out, "a") as fh:
                 fh.write(text + "\n\n")
         if args.svg_dir and report.series:
@@ -434,6 +436,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         events = list(read_events(args.file))
         html_text = render_explorer_html(events, top=args.top)
         out = args.out or os.path.splitext(args.file)[0] + ".html"
+        ensure_parent(out)
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(html_text)
         print(f"[explore] wrote {out} ({len(events)} events)")
@@ -494,6 +497,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             )
         else:
             dump = bench.profile_scenario(slowest, quick=args.quick)
+            ensure_parent(args.profile_dump)
             with open(args.profile_dump, "w", encoding="utf-8") as fh:
                 fh.write(dump)
             print(
@@ -691,6 +695,7 @@ def _faults_campaign(args: argparse.Namespace) -> int:
         f"inconsistent={summary['inconsistent_cells']} jobs={jobs}"
     )
     if args.json:
+        ensure_parent(args.json)
         with open(args.json, "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
         print(f"wrote {args.json}")

@@ -23,7 +23,7 @@ from repro.raid.request import (
     release_request,
 )
 from repro.sim.engine import Simulator
-from repro.traces.compiled import AnyTrace, CompiledTrace, compile_trace
+from repro.traces.compiled import CompiledTrace
 
 #: Kind-column decode table (indexes match KIND_READ / KIND_WRITE).
 _KIND_BY_CODE = (RequestKind.READ, RequestKind.WRITE)
@@ -482,24 +482,21 @@ class TraceDriver:
 
     Arrivals are streamed: only the *next* arrival (plus whatever
     completions are outstanding) lives in the event heap at any instant, so
-    peak heap size is O(in-flight), independent of trace length.  Any
-    input is lowered once to a :class:`~repro.traces.compiled.CompiledTrace`
-    (a no-op for compiled and shared-memory traces), and replay reads
-    arrival/offset/size/kind by index without materializing
-    ``TraceRecord`` objects: one arrival event per trace record.
+    peak heap size is O(in-flight), independent of trace length.  Replay
+    reads the :class:`~repro.traces.compiled.CompiledTrace` columns
+    (arrival/offset/size/kind) by index without materializing
+    ``TraceRecord`` objects: one arrival event per trace row.
     """
 
     def __init__(
         self,
         sim: Simulator,
         controller: Controller,
-        trace: AnyTrace,
+        trace: CompiledTrace,
         on_complete: Optional[Callable[[], None]] = None,
     ) -> None:
         self.sim = sim
         self.controller = controller
-        if not isinstance(trace, CompiledTrace):
-            trace = compile_trace(trace)
         self.trace = trace
         self.on_complete = on_complete
         self._arrivals = trace.arrivals
@@ -576,14 +573,11 @@ class TraceDriver:
 
 
 def run_trace(
-    controller: Controller, trace: AnyTrace, drain: bool = True
+    controller: Controller, trace: CompiledTrace, drain: bool = True
 ) -> RunMetrics:
     """Replay ``trace`` against ``controller`` and return its metrics.
 
-    ``trace`` may be a legacy :class:`Trace` or a columnar
-    :class:`~repro.traces.compiled.CompiledTrace`; a legacy trace is
-    lowered to columns first, so both produce byte-identical metrics.  The
-    measurement window closes when the last request completes; the
+    The measurement window closes when the last request completes; the
     post-trace flush (``drain=True``) brings mirrors consistent *outside*
     the window so schemes are compared over identical horizons.
     """

@@ -28,7 +28,7 @@ from repro.core.metrics import RunMetrics
 from repro.experiments.cache import active_cache, freeze
 from repro.sim import Simulator
 from repro.traces import build_workload_trace
-from repro.traces.compiled import AnyTrace
+from repro.traces.compiled import CompiledTrace
 from repro.traces.synthetic import SyntheticTraceConfig, generate_compiled
 
 #: Default trace time-scales for the named workloads (chosen so main
@@ -137,13 +137,13 @@ class Cell:
             return ("synthetic", freeze(self.trace_config))
         return ("workload", self.workload, self.scale, self.seed)
 
-    def build_trace(self) -> AnyTrace:
-        """Generate this cell's trace in compiled (columnar) form."""
+    def build_trace(self) -> CompiledTrace:
+        """Generate this cell's trace."""
         if self.kind == "synthetic":
             assert self.trace_config is not None
             return generate_compiled(self.trace_config)
         return build_workload_trace(
-            self.workload, scale=self.scale, seed=self.seed, compiled=True
+            self.workload, scale=self.scale, seed=self.seed
         )
 
     def resolve_config(self) -> ArrayConfig:
@@ -160,17 +160,11 @@ class Cell:
             )
         return config
 
-    def materialize(self) -> Tuple[AnyTrace, ArrayConfig]:
-        """Build this cell's trace and resolved array configuration.
-
-        Traces materialize in compiled (columnar) form: replay through the
-        :class:`~repro.core.base.TraceDriver` fast path is byte-identical
-        to the legacy object form (see tests/test_compiled_equivalence.py)
-        and skips one boxed ``TraceRecord`` per request.
-        """
+    def materialize(self) -> Tuple[CompiledTrace, ArrayConfig]:
+        """Build this cell's trace and resolved array configuration."""
         return self.build_trace(), self.resolve_config()
 
-    def execute(self, trace: Optional[AnyTrace] = None) -> RunMetrics:
+    def execute(self, trace: Optional[CompiledTrace] = None) -> RunMetrics:
         """Run the simulation, bypassing every cache layer.
 
         ``trace`` lets the parallel executor substitute a shared-memory
@@ -182,7 +176,7 @@ class Cell:
         return _run(self.scheme, trace, self.resolve_config())
 
     def execute_profiled(
-        self, trace: Optional[AnyTrace] = None
+        self, trace: Optional[CompiledTrace] = None
     ) -> Tuple[RunMetrics, "CellProfile"]:
         """Run uncached, timing the cell (trace build + simulation).
 
@@ -212,7 +206,7 @@ class Cell:
 
     def execute_metered(
         self,
-        trace: Optional[AnyTrace] = None,
+        trace: Optional[CompiledTrace] = None,
         registry: Optional["MetricsRegistry"] = None,
     ) -> Tuple[RunMetrics, "MetricsRegistry"]:
         """Run uncached with the metrics registry instrumented in.
@@ -350,7 +344,9 @@ def simulate_synthetic(
     return run_cell(synthetic_cell(scheme, trace_config, config))
 
 
-def _run(scheme: str, trace: Trace, config: ArrayConfig) -> RunMetrics:
+def _run(
+    scheme: str, trace: CompiledTrace, config: ArrayConfig
+) -> RunMetrics:
     sim = Simulator()
     controller = build_controller(scheme, sim, config)
     metrics = run_trace(controller, trace)

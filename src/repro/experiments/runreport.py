@@ -13,7 +13,6 @@ a CI artifact.
 from __future__ import annotations
 
 import html
-import os
 from typing import Any, Dict, List, Optional
 
 from repro.core.metrics import RunMetrics
@@ -22,6 +21,7 @@ from repro.experiments import runner
 from repro.experiments.parallel import execute_cells
 from repro.experiments.report import Series
 from repro.experiments.runner import Cell, workload_cell
+from repro.obs.export import ensure_parent
 
 #: Latency quantiles every report surfaces (ISSUE 7 acceptance: p50/95/99).
 REPORT_QUANTILES = (0.5, 0.95, 0.99)
@@ -411,9 +411,7 @@ def write_report(
     if fmt is None:
         fmt = "html" if path.endswith((".html", ".htm")) else "markdown"
     text = render_html(report) if fmt == "html" else render_markdown(report)
-    parent = os.path.dirname(os.path.abspath(path))
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    ensure_parent(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return path

@@ -21,7 +21,7 @@ from repro.experiments import runner
 from repro.experiments.cache import active_cache
 from repro.faults.injector import FaultRunResult, run_faulted
 from repro.faults.schedule import FaultSchedule
-from repro.traces.compiled import AnyTrace
+from repro.traces.compiled import CompiledTrace
 
 #: In-process memo of completed fault cells (spec-keyed payload dicts).
 _MEMO: Dict[Tuple, Dict[str, Any]] = {}
@@ -53,10 +53,12 @@ class FaultCell:
         """Trace identity (faults never perturb the arrival stream)."""
         return self.base.trace_key()
 
-    def build_trace(self) -> AnyTrace:
+    def build_trace(self) -> CompiledTrace:
         return self.base.build_trace()
 
-    def execute(self, trace: Optional[AnyTrace] = None) -> FaultRunResult:
+    def execute(
+        self, trace: Optional[CompiledTrace] = None
+    ) -> FaultRunResult:
         """Run the faulted simulation, bypassing every cache layer.
 
         ``trace`` substitutes a shared-memory attachment for the freshly
@@ -69,7 +71,7 @@ class FaultCell:
         return run_faulted(self.base.scheme, config, trace, schedule)
 
     def execute_metered(
-        self, trace: Optional[AnyTrace] = None, registry=None
+        self, trace: Optional[CompiledTrace] = None, registry=None
     ) -> Tuple[FaultRunResult, Any]:
         """Run uncached with the metrics registry instrumented in.
 

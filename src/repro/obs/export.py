@@ -19,6 +19,7 @@ works on both.
 from __future__ import annotations
 
 import json
+import os
 from typing import Dict, Iterable, Iterator, List, Sequence
 
 from repro.obs.tracer import REQUEST_TRACK, TraceEvent
@@ -29,8 +30,14 @@ _PID = 1
 _FLOW_PHASES = ("s", "t", "f")
 
 
+def ensure_parent(path: str) -> None:
+    """Create the missing parent directories of output file ``path``."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+
+
 def write_jsonl(events: Iterable[TraceEvent], path: str) -> int:
     """Write events as JSON Lines; returns the number written."""
+    ensure_parent(path)
     count = 0
     with open(path, "w") as fh:
         for event in events:
@@ -164,6 +171,7 @@ def write_chrome_trace(events: Sequence[TraceEvent], path: str) -> int:
     """Write Chrome trace-event JSON; returns the event count (sans
     metadata and flow records, which annotate rather than add events)."""
     doc = to_chrome_trace(events)
+    ensure_parent(path)
     with open(path, "w") as fh:
         json.dump(doc, fh)
     skip = set(_FLOW_PHASES) | {"M"}

@@ -38,10 +38,11 @@ import bisect
 import contextlib
 import json
 import math
-import os
 import re
 import time
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+
+from repro.obs.export import ensure_parent
 
 __all__ = [
     "P2Quantile",
@@ -722,7 +723,7 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n" if lines else ""
 
     def write_prometheus(self, path: str) -> str:
-        _ensure_parent(path)
+        ensure_parent(path)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_prometheus())
         return path
@@ -734,7 +735,7 @@ class MetricsRegistry:
         round-trips exactly through :func:`read_snapshot` (``rolo top``
         renders these files).
         """
-        _ensure_parent(path)
+        ensure_parent(path)
         data = self.to_dict()
         count = 0
         with open(path, "w", encoding="utf-8") as fh:
@@ -786,12 +787,6 @@ def read_snapshot(path: str) -> MetricsRegistry:
     return MetricsRegistry.from_dict(
         {"schema": schema, "families": families}
     )
-
-
-def _ensure_parent(path: str) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    if parent:
-        os.makedirs(parent, exist_ok=True)
 
 
 def _prom_float(value: float) -> str:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from typing import TYPE_CHECKING, Any, Dict, List
 
+from repro.obs.export import ensure_parent
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
@@ -121,7 +121,7 @@ class TimeSeriesSampler:
     # ------------------------------------------------------------------
     def to_jsonl(self, path: str) -> int:
         """Write samples as JSON Lines; returns the number written."""
-        _ensure_parent(path)
+        ensure_parent(path)
         with open(path, "w") as fh:
             for sample in self.samples:
                 fh.write(json.dumps(sample.to_dict(), sort_keys=True))
@@ -138,7 +138,7 @@ class TimeSeriesSampler:
             + [f"power_w_{role}" for role in roles]
             + ["log_occupancy_mean", "log_occupancy_max"]
         )
-        _ensure_parent(path)
+        ensure_parent(path)
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
             for s in self.samples:
@@ -169,11 +169,3 @@ class TimeSeriesSampler:
             f"mean_power={sum(watts) / len(watts):.1f}W  "
             f"peak_log_occupancy={occ_peak:.2%}"
         )
-
-
-def _ensure_parent(path: str) -> None:
-    """Create the exporter target's parent directories (like the trace
-    exporters' snapshot paths, deep output locations just work)."""
-    parent = os.path.dirname(os.path.abspath(path))
-    if parent:
-        os.makedirs(parent, exist_ok=True)

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+from operator import add
 from typing import Optional
 
 from repro.sim.stats import StreamingStat
-from repro.traces.record import Trace
+from repro.traces.compiled import CompiledTrace
 
 KB = 1024
 GB = 1024 * 1024 * KB
@@ -38,7 +39,7 @@ class TraceStats:
         )
 
 
-def burstiness_index(trace: Trace, window_s: float = 1.0) -> float:
+def burstiness_index(trace: CompiledTrace, window_s: float = 1.0) -> float:
     """Index of dispersion of windowed arrival counts (var/mean).
 
     1.0 for a Poisson process; ≫1 for bursty arrivals.  This quantifies
@@ -51,9 +52,9 @@ def burstiness_index(trace: Trace, window_s: float = 1.0) -> float:
     horizon = trace.duration + window_s
     n_windows = max(1, int(horizon / window_s))
     counts = [0] * n_windows
-    for record in trace:
-        index = min(n_windows - 1, int(record.timestamp / window_s))
-        counts[index] += 1
+    last = n_windows - 1
+    for t in trace.arrivals:
+        counts[min(last, int(t / window_s))] += 1
     mean = sum(counts) / n_windows
     if mean == 0:
         return 0.0
@@ -74,7 +75,9 @@ def classify_burstiness(index: float) -> str:
     return "Very High"
 
 
-def characterize(trace: Trace, duration_s: Optional[float] = None) -> TraceStats:
+def characterize(
+    trace: CompiledTrace, duration_s: Optional[float] = None
+) -> TraceStats:
     """Compute aggregate statistics of a trace.
 
     ``duration_s`` overrides the horizon used for the IOPS computation
@@ -83,16 +86,12 @@ def characterize(trace: Trace, duration_s: Optional[float] = None) -> TraceStats
     sizes = StreamingStat()
     reads = StreamingStat()
     writes = StreamingStat()
-    footprint_end = 0
-    for record in trace:
-        sizes.add(record.nbytes)
-        if record.is_write:
-            writes.add(record.nbytes)
-        else:
-            reads.add(record.nbytes)
-        end = record.offset + record.nbytes
-        if end > footprint_end:
-            footprint_end = end
+    add_size = sizes.add
+    add_by_kind = (reads.add, writes.add)
+    for nbytes, kind in zip(trace.sizes, trace.kinds):
+        add_size(nbytes)
+        add_by_kind[kind](nbytes)
+    footprint_end = max(map(add, trace.offsets, trace.sizes), default=0)
     horizon = duration_s if duration_s is not None else trace.duration
     count = len(trace)
     return TraceStats(

@@ -1,16 +1,17 @@
-"""Columnar compiled traces.
+"""Columnar traces: the simulator's one in-memory trace representation.
 
-A :class:`CompiledTrace` lowers a trace into four parallel stdlib ``array``
+A :class:`CompiledTrace` holds a trace as four parallel stdlib ``array``
 columns — arrival time, byte offset, request size, and kind — instead of one
-``TraceRecord`` object per request.  A 10⁶-request trace costs four flat
-buffers (~25 MB total) rather than a million boxed records, and the replay
-path in :class:`repro.core.base.TraceDriver` reads the columns by index
-without materializing records at all.
+object per request.  A 10⁶-request trace costs four flat buffers (~25 MB
+total), and the replay path in :class:`repro.core.base.TraceDriver` reads
+the columns by index without materializing records at all.  Iteration and
+indexing return :class:`~repro.traces.record.TraceRecord` row views on
+demand for consumers that want one request at a time.
 
-Compiled traces are a drop-in for :class:`repro.traces.record.Trace`
-everywhere the codebase consumes traces (``len``, iteration, indexing,
-``duration``, ``footprint_bytes``, ``name``); iteration and indexing
-materialize ``TraceRecord`` views on demand for legacy consumers.
+:func:`compiled_from_events` is the one builder: the synthetic generator,
+the MSR loader and hand-written traces all go through it, and it is the one
+place a trace is validated (non-negative, time-ordered arrivals; offsets
+≥ 0; sizes > 0).
 
 Each compiled trace carries a sha256 content hash over its columns, which
 the PR 1 result cache folds into cell keys.  Bump
@@ -24,10 +25,12 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from itertools import islice
+from operator import add, le
+from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.raid.request import RequestKind
-from repro.traces.record import Trace, TraceRecord
+from repro.traces.record import TraceRecord
 
 #: Version of the trace-compiler output format / lowering semantics.
 TRACE_COMPILER_VERSION = 1
@@ -74,7 +77,7 @@ class CompiledTrace:
         self._footprint = footprint_bytes
         self._hash: Optional[str] = None
 
-    # -- Trace drop-in surface -------------------------------------------
+    # -- row surface -------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.arrivals)
@@ -106,11 +109,9 @@ class CompiledTrace:
             return self._footprint
         if not self.arrivals:
             return 0
-        offsets = self.offsets
-        sizes = self.sizes
-        return max(offsets[i] + sizes[i] for i in range(len(offsets)))
+        return max(map(add, self.offsets, self.sizes))
 
-    # -- compiled-only surface -------------------------------------------
+    # -- identity ------------------------------------------------------------
 
     def content_hash(self) -> str:
         """sha256 over the column payloads plus footprint (cached)."""
@@ -135,19 +136,11 @@ class CompiledTrace:
             for col in (self.arrivals, self.offsets, self.sizes, self.kinds)
         )
 
-    def to_trace(self) -> Trace:
-        """Materialize a legacy object-per-record :class:`Trace`."""
-        return Trace(iter(self), name=self.name, footprint_bytes=self._footprint)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<CompiledTrace {self.name!r} n={len(self)} "
             f"dur={self.duration:.1f}s {self.nbytes() // 1024}KiB>"
         )
-
-
-#: Anything the replay/experiment layers accept as a trace.
-AnyTrace = Union[Trace, CompiledTrace]
 
 
 def _columns_from_events(
@@ -169,13 +162,30 @@ def _columns_from_events(
     return arrivals, offsets, sizes, kinds
 
 
+def _check_columns(arrivals: array, offsets: array, sizes: array) -> None:
+    """Validate built columns with C-level passes (no per-row Python)."""
+    if not arrivals:
+        return
+    if min(arrivals) < 0:
+        raise ValueError("negative timestamp")
+    if min(offsets) < 0 or min(sizes) <= 0:
+        raise ValueError("invalid extent")
+    if not all(map(le, arrivals, islice(arrivals, 1, None))):
+        raise ValueError("trace records must be time-ordered")
+
+
 def compiled_from_events(
     events: Iterable[Tuple[float, bool, int, int]],
     name: str = "trace",
     footprint_bytes: Optional[int] = None,
 ) -> CompiledTrace:
-    """Build a compiled trace from ``(time, is_write, offset, size)`` tuples."""
+    """Build a trace from ``(time, is_write, offset, size)`` tuples.
+
+    Raises :class:`ValueError` unless every arrival is ≥ 0 and no earlier
+    than the one before it, every offset is ≥ 0 and every size is > 0.
+    """
     arrivals, offsets, sizes, kinds = _columns_from_events(events)
+    _check_columns(arrivals, offsets, sizes)
     return CompiledTrace(
         arrivals, offsets, sizes, kinds, name=name, footprint_bytes=footprint_bytes
     )
@@ -203,19 +213,4 @@ def truncate_trace(trace, n_requests: Optional[int]) -> CompiledTrace:
         array("q", trace.sizes[:n]),
         array("B", trace.kinds[:n]),
         name=f"{trace.name}[:{n}]",
-    )
-
-
-def compile_trace(trace: AnyTrace) -> CompiledTrace:
-    """Lower a legacy :class:`Trace` into columns (idempotent)."""
-    if isinstance(trace, CompiledTrace):
-        return trace
-    events = (
-        (r.timestamp, r.kind is RequestKind.WRITE, r.offset, r.nbytes)
-        for r in trace.records
-    )
-    return compiled_from_events(
-        events,
-        name=trace.name,
-        footprint_bytes=trace._footprint,  # preserve explicit-vs-derived
     )

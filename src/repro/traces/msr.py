@@ -16,11 +16,12 @@ The writer exists so synthetic traces can be exported to the same format
 from __future__ import annotations
 
 import csv
+from itertools import islice
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Iterator, Optional, Tuple, Union
 
 from repro.raid.request import RequestKind
-from repro.traces.record import Trace, TraceRecord
+from repro.traces.compiled import CompiledTrace, compiled_from_events
 
 #: Windows FILETIME ticks per second.
 TICKS_PER_SECOND = 10_000_000
@@ -39,20 +40,16 @@ def _parse_kind(raw: str) -> RequestKind:
     raise MsrFormatError(f"unknown request type {raw!r}")
 
 
-def load_msr_trace(
-    path: Union[str, Path],
-    name: Optional[str] = None,
-    disk_number: Optional[int] = None,
-    max_records: Optional[int] = None,
-) -> Trace:
-    """Load an MSR Cambridge CSV trace file.
+def _iter_msr_rows(
+    path: Path, disk_number: Optional[int]
+) -> Iterator[Tuple[float, bool, int, int]]:
+    """Yield ``(time, is_write, offset, size)`` per kept row of ``path``.
 
-    ``disk_number`` filters to one volume of a multi-volume trace;
-    ``max_records`` truncates long traces for quick experiments.
+    Every malformed row raises :class:`MsrFormatError` carrying
+    ``path:line``; zero-size rows and rows of other disks are skipped.
     """
-    path = Path(path)
-    records: List[TraceRecord] = []
     base_ticks: Optional[int] = None
+    prev_ticks = 0
     with path.open(newline="") as fh:
         for line_no, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].startswith("#"):
@@ -73,21 +70,45 @@ def load_msr_trace(
                 continue
             if size <= 0:
                 continue
+            if offset < 0:
+                raise MsrFormatError(
+                    f"{path}:{line_no}: negative offset {offset}"
+                )
             if base_ticks is None:
-                base_ticks = ticks
-            timestamp = (ticks - base_ticks) / TICKS_PER_SECOND
-            if timestamp < 0:
+                base_ticks = prev_ticks = ticks
+            if ticks < prev_ticks:
                 raise MsrFormatError(
                     f"{path}:{line_no}: timestamps not monotone"
                 )
-            records.append(TraceRecord(timestamp, kind, offset, size))
-            if max_records is not None and len(records) >= max_records:
-                break
-    return Trace(records, name=name or path.stem)
+            prev_ticks = ticks
+            yield (
+                (ticks - base_ticks) / TICKS_PER_SECOND,
+                kind is RequestKind.WRITE,
+                offset,
+                size,
+            )
+
+
+def load_msr_trace(
+    path: Union[str, Path],
+    name: Optional[str] = None,
+    disk_number: Optional[int] = None,
+    max_records: Optional[int] = None,
+) -> CompiledTrace:
+    """Load an MSR Cambridge CSV trace file.
+
+    ``disk_number`` filters to one volume of a multi-volume trace;
+    ``max_records`` truncates long traces for quick experiments.
+    """
+    path = Path(path)
+    return compiled_from_events(
+        islice(_iter_msr_rows(path, disk_number), max_records),
+        name=name or path.stem,
+    )
 
 
 def save_msr_trace(
-    trace: Trace, path: Union[str, Path], hostname: str = "synthetic"
+    trace: CompiledTrace, path: Union[str, Path], hostname: str = "synthetic"
 ) -> None:
     """Write a trace in MSR Cambridge CSV format."""
     path = Path(path)

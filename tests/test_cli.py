@@ -89,7 +89,7 @@ class TestCommands:
         assert "records=" in out
 
     def test_run_fig9(self, capsys, tmp_path):
-        out_file = tmp_path / "report.txt"
+        out_file = tmp_path / "reports" / "report.txt"
         assert main(["run", "fig9", "--out", str(out_file)]) == 0
         assert "MTTDL" in capsys.readouterr().out
         assert "MTTDL" in out_file.read_text()
@@ -240,6 +240,27 @@ class TestObservabilityCommands:
         import json as _json
 
         assert "ts" in _json.loads(first_line)
+
+    def test_simulate_exports_create_parent_dirs(self, capsys, tmp_path):
+        trace_path = tmp_path / "deep" / "a" / "out.jsonl"
+        spans_path = tmp_path / "deep" / "b" / "spans.json"
+        assert (
+            main(
+                self.SIM_ARGS
+                + ["--trace", str(trace_path), "--spans", str(spans_path)]
+            )
+            == 0
+        )
+        out = capsys.readouterr().out
+        assert "[trace] wrote" in out and "[spans] wrote" in out
+        assert trace_path.read_text().strip()
+        assert spans_path.read_text().startswith("{")
+        html_path = tmp_path / "deep" / "c" / "explorer.html"
+        assert (
+            main(["trace", "explore", str(spans_path), "--out", str(html_path)])
+            == 0
+        )
+        assert html_path.exists()
 
     def test_simulate_sampling_and_profile(self, capsys, tmp_path):
         csv_path = tmp_path / "samples.csv"

@@ -1,20 +1,22 @@
-"""Equivalence suite: compiled/streamed replay is bit-identical to legacy.
+"""Golden replay digests: the trace path must not change a reported number.
 
-The hot-path overhaul (compiled traces, indexed arrival streaming, heap
-hygiene, pooled events) is pure mechanics — it must not change a single
-reported number.  These tests replay the same workload through
-:func:`run_trace` twice, once from a legacy :class:`Trace` and once from
-its :class:`CompiledTrace` counterpart, and require the serialized
-:class:`RunMetrics` to be *byte-identical* (``json.dumps`` of
-``to_dict()``), for every scheme, with tracing attached, and under fault
-injection.
+Each test replays one synthetic workload through :func:`run_trace` and
+compares the sha256 of the serialized :class:`RunMetrics` (``json.dumps``
+of ``to_dict()``, sorted keys) and ``events_processed`` against
+``tests/golden/compiled_equivalence.json``: five schemes clean, RoLo-P
+with a :class:`RecordingTracer` attached, and RoLo-P under ``fail@10:M1``.
+The digests are a fixed reference recorded before the trace layer was
+reduced to one columnar representation, so any drift in replay mechanics
+(arrival streaming, column decoding, trace building) shows up here.
 
-``events_processed`` is asserted equal as well: both replay paths schedule
-exactly one arrival event per trace record (the driver keeps only the next
-arrival in the heap either way), so the arrival-streaming delta is zero.
+On first run the golden file is created and the test fails, asking for a
+rerun; on drift the computed digests are written next to it as
+``compiled_equivalence.actual.json`` for inspection.
 """
 
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -27,9 +29,8 @@ from repro.sim import Simulator
 from repro.traces import (
     Burstiness,
     SyntheticTraceConfig,
-    compile_trace,
+    compiled_from_events,
     generate_compiled,
-    generate_trace,
 )
 
 MB = 1024 * 1024
@@ -52,9 +53,20 @@ TRACE_CONFIG = SyntheticTraceConfig(
 
 ARRAY_CONFIG = ArrayConfig(n_pairs=4).scaled(0.01)
 
+FAULT_SPEC = "fail@10:M1"
 
-def _metrics_bytes(metrics) -> bytes:
-    return json.dumps(metrics.to_dict(), sort_keys=True).encode()
+GOLDEN = os.path.join(
+    os.path.dirname(__file__), "golden", "compiled_equivalence.json"
+)
+
+
+def _digest(sim, metrics, **extra):
+    payload = json.dumps(metrics.to_dict(), sort_keys=True).encode()
+    return dict(
+        metrics_sha256=hashlib.sha256(payload).hexdigest(),
+        events_processed=sim.events_processed,
+        **extra,
+    )
 
 
 def _replay(scheme, trace, *, tracer=None, fault_spec=None):
@@ -63,7 +75,7 @@ def _replay(scheme, trace, *, tracer=None, fault_spec=None):
         controller = build_controller(scheme, sim, ARRAY_CONFIG, tracer=tracer)
         metrics = run_trace(controller, trace)
         controller.assert_consistent()
-        return sim, controller, metrics
+        return sim, metrics
     oracle = ConsistencyOracle()
     controller = build_controller(scheme, sim, ARRAY_CONFIG, oracle=oracle)
     injector = FaultInjector(
@@ -72,50 +84,70 @@ def _replay(scheme, trace, *, tracer=None, fault_spec=None):
     injector.arm()
     metrics = run_trace(controller, trace)
     injector._check("end")
-    return sim, controller, metrics
+    return sim, metrics
 
 
 @pytest.fixture(scope="module")
-def traces():
-    legacy = generate_trace(TRACE_CONFIG)
-    compiled = generate_compiled(TRACE_CONFIG)
-    assert list(compiled) == legacy.records  # precondition for everything below
-    return legacy, compiled
+def trace():
+    return generate_compiled(TRACE_CONFIG)
+
+
+@pytest.fixture(scope="module")
+def golden(trace):
+    """The recorded digests, keyed by run name (created on first run)."""
+    runs = {}
+    for scheme in SCHEMES:
+        runs[scheme] = _digest(*_replay(scheme, trace))
+    tracer = RecordingTracer()
+    sim, metrics = _replay("rolo-p", trace, tracer=tracer)
+    runs["rolo-p+tracer"] = _digest(sim, metrics, tracer_events=len(tracer.events))
+    runs[f"rolo-p+{FAULT_SPEC}"] = _digest(
+        *_replay("rolo-p", trace, fault_spec=FAULT_SPEC)
+    )
+    actual = {"trace_hash": trace.content_hash(), "runs": runs}
+    if not os.path.exists(GOLDEN):  # pragma: no cover - first run
+        os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+        with open(GOLDEN, "w") as fh:
+            json.dump(actual, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        pytest.fail(f"golden file created at {GOLDEN}; rerun")
+    with open(GOLDEN) as fh:
+        expected = json.load(fh)
+    if actual != expected:
+        actual_path = GOLDEN.replace(".json", ".actual.json")
+        with open(actual_path, "w") as fh:
+            json.dump(actual, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    assert actual["trace_hash"] == expected["trace_hash"]
+    return expected["runs"], runs
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_metrics_byte_identical_across_schemes(scheme, traces):
-    legacy, compiled = traces
-    sim_a, _, metrics_a = _replay(scheme, legacy)
-    sim_b, _, metrics_b = _replay(scheme, compiled)
-    assert _metrics_bytes(metrics_a) == _metrics_bytes(metrics_b)
-    # One arrival event per record on both paths: zero streaming delta.
-    assert sim_a.events_processed == sim_b.events_processed
+def test_metrics_byte_identical_across_schemes(scheme, golden):
+    expected, actual = golden
+    assert actual[scheme] == expected[scheme]
 
 
-def test_metrics_byte_identical_with_tracer(traces):
-    legacy, compiled = traces
-    tracer_a, tracer_b = RecordingTracer(), RecordingTracer()
-    _, _, metrics_a = _replay("rolo-p", legacy, tracer=tracer_a)
-    _, _, metrics_b = _replay("rolo-p", compiled, tracer=tracer_b)
-    assert _metrics_bytes(metrics_a) == _metrics_bytes(metrics_b)
-    assert len(tracer_a.events) == len(tracer_b.events) > 0
+def test_metrics_byte_identical_with_tracer(golden):
+    expected, actual = golden
+    assert actual["rolo-p+tracer"] == expected["rolo-p+tracer"]
+    assert actual["rolo-p+tracer"]["tracer_events"] > 0
 
 
-def test_metrics_byte_identical_under_fault_injection(traces):
-    legacy, compiled = traces
-    spec = "fail@10:M1"
-    sim_a, _, metrics_a = _replay("rolo-p", legacy, fault_spec=spec)
-    sim_b, _, metrics_b = _replay("rolo-p", compiled, fault_spec=spec)
-    assert _metrics_bytes(metrics_a) == _metrics_bytes(metrics_b)
-    assert sim_a.events_processed == sim_b.events_processed
+def test_metrics_byte_identical_under_fault_injection(golden):
+    expected, actual = golden
+    key = f"rolo-p+{FAULT_SPEC}"
+    assert actual[key] == expected[key]
 
 
-def test_compile_trace_of_workload_replays_identically(traces):
-    # compile_trace() on an existing legacy trace (not just the generator
-    # fast path) feeds the indexed driver the same columns.
-    legacy, _ = traces
-    recompiled = compile_trace(legacy)
-    _, _, metrics_a = _replay("raid10", legacy)
-    _, _, metrics_b = _replay("raid10", recompiled)
-    assert _metrics_bytes(metrics_a) == _metrics_bytes(metrics_b)
+def test_rebuilt_workload_replays_identically(trace, golden):
+    # A trace rebuilt row by row through the one builder (the path a
+    # parsed MSR file takes) replays to the recorded digest.
+    expected, _ = golden
+    rebuilt = compiled_from_events(
+        ((r.timestamp, r.is_write, r.offset, r.nbytes) for r in trace),
+        name=trace.name,
+        footprint_bytes=trace.footprint_bytes,
+    )
+    assert rebuilt.content_hash() == trace.content_hash()
+    assert _digest(*_replay("raid10", rebuilt)) == expected["raid10"]

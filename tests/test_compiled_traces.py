@@ -1,10 +1,9 @@
-"""Tests for the columnar compiled-trace representation.
+"""Tests for the columnar trace representation.
 
-The load-bearing property is that :func:`generate_compiled` and
-:func:`generate_trace` consume the *same* RNG stream (via the shared
-``_iter_events`` generator), so a compiled synthetic trace is
-record-for-record identical to its legacy counterpart.  Everything else —
-hashing, the drop-in ``Trace`` surface, cache keys — builds on that.
+The load-bearing property is that :func:`generate_compiled` stores the
+generator's ``_iter_events`` stream verbatim: every column cell equals the
+matching field of the matching ``(time, is_write, offset, size)`` tuple.
+Everything else — hashing, the row surface, cache keys — builds on that.
 """
 
 import pytest
@@ -15,13 +14,11 @@ from repro.traces import (
     Burstiness,
     CompiledTrace,
     SyntheticTraceConfig,
-    Trace,
     TraceRecord,
-    compile_trace,
     compiled_from_events,
     generate_compiled,
-    generate_trace,
 )
+from repro.traces.synthetic import _aligned_footprint, _iter_events
 
 KB = 1024
 MB = 1024 * KB
@@ -60,46 +57,54 @@ def _configs():
     ]
 
 
+def _rows(events):
+    """``(time, is_write, offset, size)`` tuples as TraceRecord rows."""
+    return [
+        TraceRecord(
+            t, RequestKind.WRITE if is_write else RequestKind.READ, offset, size
+        )
+        for t, is_write, offset, size in events
+    ]
+
+
 @pytest.mark.parametrize("config", _configs(), ids=lambda c: c.name)
-def test_generate_compiled_matches_generate_trace(config):
-    legacy = generate_trace(config)
+def test_generate_compiled_matches_iter_events(config):
+    events = list(_iter_events(config))
     compiled = generate_compiled(config)
     assert isinstance(compiled, CompiledTrace)
-    assert len(compiled) == len(legacy) > 0
-    assert compiled.name == legacy.name
-    assert compiled.footprint_bytes == legacy.footprint_bytes
-    assert compiled.duration == legacy.duration
-    for i, record in enumerate(legacy):
-        assert compiled.arrivals[i] == record.timestamp
-        assert compiled.offsets[i] == record.offset
-        assert compiled.sizes[i] == record.nbytes
-        assert compiled.kinds[i] == (1 if record.is_write else 0)
+    assert len(compiled) == len(events) > 0
+    assert compiled.name == config.name
+    assert compiled.footprint_bytes == _aligned_footprint(config)
+    assert compiled.duration == events[-1][0]
+    for i, (t, is_write, offset, size) in enumerate(events):
+        assert compiled.arrivals[i] == t
+        assert compiled.offsets[i] == offset
+        assert compiled.sizes[i] == size
+        assert compiled.kinds[i] == (1 if is_write else 0)
 
 
 def test_drop_in_trace_surface():
+    # Iteration and indexing return TraceRecord rows equal to the events.
     config = _configs()[0]
-    legacy = generate_trace(config)
+    rows = _rows(_iter_events(config))
     compiled = generate_compiled(config)
-    # Iteration and indexing materialize equal TraceRecord views.
-    assert list(compiled) == legacy.records
-    assert compiled[0] == legacy[0]
-    assert compiled[len(compiled) - 1] == legacy[len(legacy) - 1]
+    assert list(compiled) == rows
+    assert compiled[0] == rows[0]
+    assert compiled[len(compiled) - 1] == rows[-1]
     assert isinstance(compiled[0], TraceRecord)
-    back = compiled.to_trace()
-    assert isinstance(back, Trace)
-    assert back.records == legacy.records
-    assert back.footprint_bytes == legacy.footprint_bytes
 
 
-def test_compile_trace_roundtrip_and_idempotence():
+def test_events_round_trip():
+    # Rebuilding a trace from its own rows reproduces it exactly.
     config = _configs()[1]
-    legacy = generate_trace(config)
-    compiled = compile_trace(legacy)
-    assert list(compiled) == legacy.records
-    # Compiling a compiled trace is the identity.
-    assert compile_trace(compiled) is compiled
-    # And compiling the same legacy trace twice hashes identically.
-    assert compile_trace(legacy).content_hash() == compiled.content_hash()
+    compiled = generate_compiled(config)
+    rebuilt = compiled_from_events(
+        ((r.timestamp, r.is_write, r.offset, r.nbytes) for r in compiled),
+        name=compiled.name,
+        footprint_bytes=compiled.footprint_bytes,
+    )
+    assert list(rebuilt) == _rows(_iter_events(config))
+    assert rebuilt.content_hash() == compiled.content_hash()
 
 
 def test_content_hash_stability_and_sensitivity():

@@ -6,7 +6,7 @@ from repro.core import Raid5Config, build_raid5_controller
 from repro.core.base import run_trace
 from repro.raid.raid5 import Raid5Layout, Raid5Segment
 from repro.sim import Simulator
-from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
+from repro.traces.synthetic import SyntheticTraceConfig, generate_compiled
 from tests.conftest import make_trace, write_burst
 
 KB = 1024
@@ -170,7 +170,7 @@ class TestRolo5Controller:
         assert controller.metrics.destaged_bytes == 3 * 64 * KB
 
     def test_faster_than_baseline_on_small_writes(self):
-        trace = generate_trace(
+        trace = generate_compiled(
             SyntheticTraceConfig(
                 duration_s=60.0,
                 iops=30.0,

@@ -5,15 +5,17 @@ import math
 import pytest
 
 from repro.raid.request import RequestKind
+from repro.sim.stats import StreamingStat
 from repro.traces import (
     Burstiness,
     PAPER_WORKLOADS,
     SyntheticTraceConfig,
-    Trace,
     TraceRecord,
+    TraceStats,
     build_workload_trace,
     characterize,
-    generate_trace,
+    compiled_from_events,
+    generate_compiled,
 )
 from repro.traces.msr import MsrFormatError, load_msr_trace, save_msr_trace
 from repro.traces.synthetic import ALIGNMENT
@@ -45,20 +47,34 @@ class TestTraceRecord:
 
 
 class TestTrace:
+    """The one trace builder, :func:`compiled_from_events`."""
+
     def test_ordering_enforced(self):
-        records = [
-            TraceRecord(2.0, RequestKind.READ, 0, 1),
-            TraceRecord(1.0, RequestKind.READ, 0, 1),
-        ]
-        with pytest.raises(ValueError):
-            Trace(records)
+        events = [(2.0, False, 0, 1), (1.0, False, 0, 1)]
+        with pytest.raises(ValueError, match="time-ordered"):
+            compiled_from_events(events)
+
+    @pytest.mark.parametrize(
+        "bad_row, message",
+        [
+            ((-1.0, False, 0, 10), "negative timestamp"),
+            ((0.0, False, -1, 10), "invalid extent"),
+            ((0.0, False, 0, 0), "invalid extent"),
+        ],
+        ids=["negative-time", "negative-offset", "zero-size"],
+    )
+    def test_row_validation(self, bad_row, message):
+        events = [bad_row, (1.0, True, 0, 10)]
+        with pytest.raises(ValueError, match=message):
+            compiled_from_events(events)
+
+    def test_equal_timestamps_allowed(self):
+        trace = compiled_from_events([(1.0, True, 0, 1), (1.0, False, 0, 1)])
+        assert len(trace) == 2
 
     def test_duration_and_footprint(self):
-        trace = Trace(
-            [
-                TraceRecord(1.0, RequestKind.WRITE, 100, 50),
-                TraceRecord(3.0, RequestKind.READ, 500, 100),
-            ]
+        trace = compiled_from_events(
+            [(1.0, True, 100, 50), (3.0, False, 500, 100)]
         )
         assert trace.duration == 3.0
         assert trace.footprint_bytes == 600
@@ -66,14 +82,14 @@ class TestTrace:
         assert trace[0].offset == 100
 
     def test_explicit_footprint_wins(self):
-        trace = Trace(
-            [TraceRecord(0.0, RequestKind.READ, 0, 1)],
-            footprint_bytes=12345,
+        trace = compiled_from_events(
+            [(0.0, False, 0, 1)], footprint_bytes=12345
         )
         assert trace.footprint_bytes == 12345
 
     def test_empty_trace(self):
-        trace = Trace([])
+        trace = compiled_from_events([])
+        assert len(trace) == 0
         assert trace.duration == 0.0
         assert trace.footprint_bytes == 0
 
@@ -92,48 +108,48 @@ class TestSyntheticGenerator:
         return SyntheticTraceConfig(**defaults)
 
     def test_deterministic_given_seed(self):
-        a = generate_trace(self.base_config())
-        b = generate_trace(self.base_config())
+        a = generate_compiled(self.base_config())
+        b = generate_compiled(self.base_config())
         assert len(a) == len(b)
         assert all(x == y for x, y in zip(a, b))
 
     def test_different_seed_differs(self):
-        a = generate_trace(self.base_config())
-        b = generate_trace(self.base_config(seed=2))
+        a = generate_compiled(self.base_config())
+        b = generate_compiled(self.base_config(seed=2))
         assert any(x != y for x, y in zip(a, b))
 
     def test_iops_close_to_target(self):
-        trace = generate_trace(self.base_config())
+        trace = generate_compiled(self.base_config())
         measured = len(trace) / 400.0
         assert measured == pytest.approx(50.0, rel=0.1)
 
     def test_write_ratio_close_to_target(self):
-        trace = generate_trace(self.base_config())
+        trace = generate_compiled(self.base_config())
         writes = sum(1 for r in trace if r.is_write)
         assert writes / len(trace) == pytest.approx(0.8, abs=0.05)
 
     def test_offsets_aligned_and_in_footprint(self):
-        trace = generate_trace(self.base_config())
+        trace = generate_compiled(self.base_config())
         for record in trace:
             assert record.offset % ALIGNMENT == 0
             assert record.offset + record.nbytes <= 64 * MB
 
     def test_fixed_size_when_sigma_zero(self):
-        trace = generate_trace(self.base_config(size_sigma=0.0))
+        trace = generate_compiled(self.base_config(size_sigma=0.0))
         assert all(r.nbytes == 16 * KB for r in trace)
 
     def test_lognormal_mean_near_target(self):
-        trace = generate_trace(
+        trace = generate_compiled(
             self.base_config(size_sigma=0.6, duration_s=2000.0)
         )
         mean = sum(r.nbytes for r in trace) / len(trace)
         assert mean == pytest.approx(16 * KB, rel=0.15)
 
     def test_sequential_fraction_produces_runs(self):
-        seq = generate_trace(
+        seq = generate_compiled(
             self.base_config(write_sequential_fraction=0.9, write_ratio=1.0)
         )
-        rnd = generate_trace(
+        rnd = generate_compiled(
             self.base_config(write_sequential_fraction=0.0, write_ratio=1.0)
         )
 
@@ -149,10 +165,10 @@ class TestSyntheticGenerator:
         assert seq_count(seq) > 10 * max(1, seq_count(rnd))
 
     def test_bursty_arrivals_have_higher_variance(self):
-        uniform = generate_trace(
+        uniform = generate_compiled(
             self.base_config(burstiness=Burstiness.NONE, duration_s=1000)
         )
-        bursty = generate_trace(
+        bursty = generate_compiled(
             self.base_config(
                 burstiness=Burstiness.VERY_HIGH,
                 burst_cycle_s=50.0,
@@ -171,7 +187,7 @@ class TestSyntheticGenerator:
         assert per_second_variance(bursty) > 3 * per_second_variance(uniform)
 
     def test_burstiness_preserves_mean_rate(self):
-        bursty = generate_trace(
+        bursty = generate_compiled(
             self.base_config(
                 burstiness=Burstiness.VERY_HIGH,
                 burst_cycle_s=20.0,
@@ -181,7 +197,7 @@ class TestSyntheticGenerator:
         assert len(bursty) / 2000 == pytest.approx(50.0, rel=0.15)
 
     def test_read_sessions_cluster_reads(self):
-        trace = generate_trace(
+        trace = generate_compiled(
             self.base_config(
                 write_ratio=0.9,
                 read_session_fraction=0.2,
@@ -326,6 +342,26 @@ class TestMsrFormat:
         loaded = load_msr_trace(path)
         assert len(loaded) == 1
 
+    def test_out_of_order_row_rejected(self, tmp_path):
+        # Later than the first row, earlier than the one before it.
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "0,h,0,Write,0,4096,0\n"
+            "20000000,h,0,Write,0,4096,0\n"
+            "10000000,h,0,Write,0,4096,0\n"
+        )
+        with pytest.raises(MsrFormatError, match=f"{path}:3: .*monotone"):
+            load_msr_trace(path)
+
+    def test_negative_offset_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "0,h,0,Write,0,4096,0\n"
+            "10000000,h,0,Write,-512,4096,0\n"
+        )
+        with pytest.raises(MsrFormatError, match=f"{path}:2: negative offset"):
+            load_msr_trace(path)
+
     def test_timestamps_normalized_to_zero(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(
@@ -337,13 +373,38 @@ class TestMsrFormat:
         assert loaded[1].timestamp == pytest.approx(1.0)
 
 
+def _characterize_rows(trace) -> TraceStats:
+    """Row-by-row reference for :func:`characterize` (one record a row)."""
+    sizes, reads, writes = StreamingStat(), StreamingStat(), StreamingStat()
+    footprint_end = 0
+    for record in trace:
+        sizes.add(record.nbytes)
+        (writes if record.is_write else reads).add(record.nbytes)
+        footprint_end = max(footprint_end, record.offset + record.nbytes)
+    count = len(trace)
+    horizon = trace.duration
+    return TraceStats(
+        name=trace.name,
+        records=count,
+        duration_s=horizon,
+        write_ratio=writes.count / count if count else 0.0,
+        iops=count / horizon if horizon > 0 else 0.0,
+        avg_request_bytes=sizes.mean,
+        write_capacity_bytes=int(writes.total),
+        read_capacity_bytes=int(reads.total),
+        avg_read_bytes=reads.mean,
+        avg_write_bytes=writes.mean,
+        footprint_bytes=footprint_end,
+    )
+
+
 class TestCharacterize:
     def test_counts(self):
-        trace = Trace(
+        trace = compiled_from_events(
             [
-                TraceRecord(0.0, RequestKind.WRITE, 0, 10 * KB),
-                TraceRecord(5.0, RequestKind.READ, 0, 30 * KB),
-                TraceRecord(10.0, RequestKind.WRITE, 50 * KB, 20 * KB),
+                (0.0, True, 0, 10 * KB),
+                (5.0, False, 0, 30 * KB),
+                (10.0, True, 50 * KB, 20 * KB),
             ]
         )
         stats = characterize(trace)
@@ -356,5 +417,14 @@ class TestCharacterize:
         assert stats.footprint_bytes == 70 * KB
 
     def test_row_renders(self):
-        trace = Trace([TraceRecord(0.0, RequestKind.WRITE, 0, KB)])
+        trace = compiled_from_events([(0.0, True, 0, KB)])
         assert "write" in characterize(trace, duration_s=1.0).row()
+
+    @pytest.mark.parametrize("name", sorted(PAPER_WORKLOADS))
+    def test_matches_row_by_row(self, name):
+        trace = build_workload_trace(name, scale=0.01)
+        assert characterize(trace) == _characterize_rows(trace)
+
+    def test_empty_trace(self):
+        trace = compiled_from_events([], name="empty")
+        assert characterize(trace) == _characterize_rows(trace)
